@@ -123,7 +123,7 @@ bool dump_telemetry(const DumpOptions& dump, const TelemetrySink& sink) {
   bool ok = true;
   if (dump.trace != nullptr) {
     ok &= emit_telemetry_file(dump.trace, "trace", [&](std::ostream& os) {
-      telemetry::write_trace_json(sink.registry, os);
+      telemetry::write_trace_json(sink.registry.recorder().snapshot(), os);
     });
   }
   if (dump.prom != nullptr) {

@@ -7,7 +7,6 @@
 
 #include "sim/gadget_runner.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/span_tracer.hpp"
 #include "util/rng.hpp"
 
 namespace aegis::fuzzer {
@@ -33,11 +32,11 @@ std::vector<std::uint32_t> ParallelCampaign::cleanup() const {
   std::vector<std::vector<std::uint32_t>> kept(shard_count);
 
   telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "fuzz.cleanup", "fuzzer", 0,
-                              shard_count);
+  const telemetry::SpanSite shard_site(tel, "fuzz.cleanup.shard");
+  telemetry::ScopedSpan stage(telemetry::SpanSite(tel, "fuzz.cleanup"), 0,
+                              static_cast<std::uint32_t>(shard_count));
   pool_->parallel_for(shard_count, [&](std::size_t shard) {
-    telemetry::ScopedSpan span(tel.spans(), "fuzz.cleanup.shard", "fuzzer",
-                               static_cast<std::uint32_t>(shard));
+    telemetry::ScopedSpan span(shard_site, static_cast<std::uint32_t>(shard));
     // Variants that fault (#UD / #GP) are excluded; the simulator faults
     // exactly where the spec says real hardware would.
     sim::GadgetRunner probe(*db_, *spec_,
@@ -82,11 +81,11 @@ GenerationOutput ParallelCampaign::generate(
   std::vector<std::vector<std::vector<Gadget>>> hits(shard_count);
 
   telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "fuzz.generate", "fuzzer", 0,
-                              shard_count);
+  const telemetry::SpanSite shard_site(tel, "fuzz.generate.shard");
+  telemetry::ScopedSpan stage(telemetry::SpanSite(tel, "fuzz.generate"), 0,
+                              static_cast<std::uint32_t>(shard_count));
   pool_->parallel_for(shard_count, [&](std::size_t shard) {
-    telemetry::ScopedSpan span(tel.spans(), "fuzz.generate.shard", "fuzzer",
-                               static_cast<std::uint32_t>(shard));
+    telemetry::ScopedSpan span(shard_site, static_cast<std::uint32_t>(shard));
     const std::size_t group_index = shard / resets.size();
     const std::uint32_t reset = resets[shard % resets.size()];
     const std::size_t g0 = group_index * kGroup;
@@ -137,13 +136,14 @@ std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
   params.delta_threshold = config_->delta_threshold;
 
   telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "fuzz.confirm", "fuzzer", 0,
-                              event_ids.size());
+  const telemetry::SpanSite shard_site(tel, "fuzz.confirm.shard");
+  telemetry::ScopedSpan stage(telemetry::SpanSite(tel, "fuzz.confirm"), 0,
+                              static_cast<std::uint32_t>(event_ids.size()));
   std::vector<std::vector<ConfirmedGadget>> stable(event_ids.size());
   pool_->parallel_for(event_ids.size(), [&](std::size_t e) {
-    telemetry::ScopedSpan span(tel.spans(), "fuzz.confirm.shard", "fuzzer",
-                               static_cast<std::uint32_t>(e),
-                               candidates[e].size());
+    telemetry::ScopedSpan span(
+        shard_site, static_cast<std::uint32_t>(e),
+        static_cast<std::uint32_t>(candidates[e].size()));
     sim::GadgetRunner runner(
         *db_, *spec_, util::split_mix64(config_->seed ^ kConfirmSalt, e));
     runner.program({event_ids[e]});
@@ -185,13 +185,14 @@ std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
 std::vector<FilterOutcome> ParallelCampaign::filter(
     const std::vector<std::vector<ConfirmedGadget>>& confirmed) const {
   telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "fuzz.filter", "fuzzer", 0,
-                              confirmed.size());
+  const telemetry::SpanSite shard_site(tel, "fuzz.filter.shard");
+  telemetry::ScopedSpan stage(telemetry::SpanSite(tel, "fuzz.filter"), 0,
+                              static_cast<std::uint32_t>(confirmed.size()));
   std::vector<FilterOutcome> outcomes(confirmed.size());
   pool_->parallel_for(confirmed.size(), [&](std::size_t e) {
-    telemetry::ScopedSpan span(tel.spans(), "fuzz.filter.shard", "fuzzer",
-                               static_cast<std::uint32_t>(e),
-                               confirmed[e].size());
+    telemetry::ScopedSpan span(
+        shard_site, static_cast<std::uint32_t>(e),
+        static_cast<std::uint32_t>(confirmed[e].size()));
     outcomes[e] = filter_gadgets(confirmed[e], *spec_);
   });
   return outcomes;

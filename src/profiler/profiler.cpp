@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "telemetry/registry.hpp"
-#include "telemetry/span_tracer.hpp"
 #include "trace/pca.hpp"
 #include "trace/trace.hpp"
 #include "util/stats.hpp"
@@ -45,12 +44,12 @@ WarmupReport ApplicationProfiler::warmup(const workload::Workload& application) 
   // count (and identical to a serial run).
   std::vector<std::vector<std::uint32_t>> surviving(group_count);
   telemetry::Registry& tel = telemetry::resolve(config_.telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "profiler.warmup", "profiler", 0,
-                              group_count);
+  const telemetry::SpanSite group_site(tel, "profiler.warmup.group");
+  telemetry::ScopedSpan stage(telemetry::SpanSite(tel, "profiler.warmup"), 0,
+                              static_cast<std::uint32_t>(group_count));
   util::ThreadPool pool(config_.num_threads);
   pool.parallel_for(group_count, [&](std::size_t g) {
-    telemetry::ScopedSpan span(tel.spans(), "profiler.warmup.group",
-                               "profiler", static_cast<std::uint32_t>(g));
+    telemetry::ScopedSpan span(group_site, static_cast<std::uint32_t>(g));
     util::Rng rng(util::split_mix64(config_.seed ^ kWarmupSalt, g));
     std::vector<std::uint32_t> group;
     const std::uint32_t base = static_cast<std::uint32_t>(g * kGroup);
@@ -110,12 +109,12 @@ std::vector<EventRank> ApplicationProfiler::rank(
   std::vector<std::vector<EventRank>> per_group(group_count);
 
   telemetry::Registry& tel = telemetry::resolve(config_.telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "profiler.rank", "profiler", 0,
-                              group_count);
+  const telemetry::SpanSite group_site(tel, "profiler.rank.group");
+  telemetry::ScopedSpan stage(telemetry::SpanSite(tel, "profiler.rank"), 0,
+                              static_cast<std::uint32_t>(group_count));
   util::ThreadPool pool(config_.num_threads);
   pool.parallel_for(group_count, [&](std::size_t g) {
-    telemetry::ScopedSpan span(tel.spans(), "profiler.rank.group", "profiler",
-                               static_cast<std::uint32_t>(g));
+    telemetry::ScopedSpan span(group_site, static_cast<std::uint32_t>(g));
     util::Rng rng(util::split_mix64(config_.seed ^ kRankSalt, g));
     const std::size_t base = g * kGroup;
     std::vector<std::uint32_t> group(

@@ -214,11 +214,12 @@ FrontierResult SecurityHarness::run(const std::vector<CellSpec>& cells) const {
   const telemetry::Counter cells_done =
       reg.metrics().counter("seceval_cells_total");
 
+  const telemetry::SpanSite cell_site(reg, "seceval.cell");
+
   std::vector<CellResult> results(cells.size());
   util::ThreadPool pool(config_.num_threads);
   pool.parallel_for(cells.size(), [&](std::size_t i) {
-    telemetry::ScopedSpan span(reg.spans(), "seceval.cell", "seceval", 0,
-                               static_cast<std::uint64_t>(i));
+    telemetry::ScopedSpan span(cell_site, 0, static_cast<std::uint32_t>(i));
     results[i] = run_cell(cells[i]);
     cells_done.inc();
   });

@@ -18,11 +18,14 @@ std::string tenant_metric(const char* base, std::uint64_t tenant_id) {
   return std::string(base) + "{tenant=\"" + std::to_string(tenant_id) + "\"}";
 }
 
-/// Outcome code carried in kAdmission wide events (field `a`); "reset" uses
-/// 3 (it has no Admission enumerator).
-std::uint64_t outcome_code(Admission a) noexcept {
-  return static_cast<std::uint64_t>(a);
-}
+// record_decision converts by value: Admission and BudgetOutcome must keep
+// one numbering for the outcomes they share.
+static_assert(static_cast<int>(Admission::kAdmit) ==
+                  static_cast<int>(telemetry::BudgetOutcome::kAdmit) &&
+              static_cast<int>(Admission::kDegrade) ==
+                  static_cast<int>(telemetry::BudgetOutcome::kDegrade) &&
+              static_cast<int>(Admission::kRefuse) ==
+                  static_cast<int>(telemetry::BudgetOutcome::kRefuse));
 
 std::uint64_t double_bits(double v) noexcept {
   std::uint64_t bits = 0;
@@ -142,27 +145,32 @@ AdmissionDecision BudgetGovernor::request_window(std::uint64_t tenant_id,
   return decision;
 }
 
-// Caller holds mu_ (level 15); timeline/gauge sinks are higher levels, so
-// the order is ascending. The ε timeline gets one event per decision and
+// Caller holds mu_ (level 15), so decisions publish in submission order;
 // the per-tenant gauges track the post-decision spend.
 void BudgetGovernor::record_decision(std::uint64_t tenant_id,
                                      const Tenant& tenant,
                                      const AdmissionDecision& decision) {
-  const telemetry::BudgetEvent event = telemetry_->budget().stamp(
-      tenant_id, to_string(decision.outcome),
-      static_cast<std::uint32_t>(decision.granularity), decision.releases,
-      decision.epsilon_after, tenant.epsilon_cap);
-  // Mirror into the flight recorder (wait-free) with the timeline's stamp,
-  // and feed the online forecaster, both in submission order.
-  decision_event_.record(event.t_ns, outcome_code(decision.outcome),
-                         decision.granularity, decision.releases,
-                         double_bits(decision.epsilon_after),
-                         static_cast<std::uint32_t>(tenant_id));
+  telemetry::BudgetEvent event;
+  event.tenant_id = tenant_id;
+  event.outcome = static_cast<telemetry::BudgetOutcome>(decision.outcome);
+  event.granularity = static_cast<std::uint32_t>(decision.granularity);
+  event.releases = decision.releases;
+  event.epsilon_after = decision.epsilon_after;
+  event.epsilon_cap = tenant.epsilon_cap;
+  publish(event);
+  tenant.epsilon_gauge.set(decision.epsilon_after);
+  tenant.remaining_gauge.set(tenant.epsilon_cap - decision.epsilon_after);
+}
+
+void BudgetGovernor::publish(telemetry::BudgetEvent& event) {
+  event.t_ns = telemetry_->time_source().now_ns();
+  decision_event_.record(event.t_ns, static_cast<std::uint64_t>(event.outcome),
+                         event.granularity, event.releases,
+                         double_bits(event.epsilon_after),
+                         static_cast<std::uint32_t>(event.tenant_id));
   if (config_.forecaster != nullptr) {
     config_.forecaster->ingest(event);
   }
-  tenant.epsilon_gauge.set(decision.epsilon_after);
-  tenant.remaining_gauge.set(tenant.epsilon_cap - decision.epsilon_after);
 }
 
 double BudgetGovernor::remaining(std::uint64_t tenant_id) const {
@@ -182,13 +190,11 @@ void BudgetGovernor::reset_tenant(std::uint64_t tenant_id) {
   it->second.admitted = 0;
   it->second.degraded = 0;
   it->second.refused = 0;
-  const telemetry::BudgetEvent event = telemetry_->budget().stamp(
-      tenant_id, "reset", 0, 0, 0.0, it->second.epsilon_cap);
-  decision_event_.record(event.t_ns, /*outcome=*/3, 0, 0, double_bits(0.0),
-                         static_cast<std::uint32_t>(tenant_id));
-  if (config_.forecaster != nullptr) {
-    config_.forecaster->ingest(event);
-  }
+  telemetry::BudgetEvent event;
+  event.tenant_id = tenant_id;
+  event.outcome = telemetry::BudgetOutcome::kReset;
+  event.epsilon_cap = it->second.epsilon_cap;
+  publish(event);
   it->second.epsilon_gauge.set(0.0);
   it->second.remaining_gauge.set(it->second.epsilon_cap);
 }

@@ -31,6 +31,7 @@
 namespace aegis::telemetry {
 class Registry;
 class BudgetForecaster;
+struct BudgetEvent;
 }
 
 namespace aegis::service {
@@ -54,7 +55,7 @@ struct GovernorConfig {
   double default_epsilon_cap = 8.0;  // lifetime advanced-composition cap
   double delta = 1e-6;               // advanced-composition slack
   std::size_t max_granularity = 64;  // coarsest degrade step offered
-  /// Sink for the epsilon-spend timeline and per-tenant gauges (null =
+  /// Sink for the epsilon-decision events and per-tenant gauges (null =
   /// telemetry::Registry::global()). TenantBudgetStats stays computed from
   /// the governor's own accountants either way.
   telemetry::Registry* telemetry = nullptr;
@@ -106,7 +107,7 @@ class BudgetGovernor {
     std::size_t degraded = 0;
     std::size_t refused = 0;
     // Labeled gauges registered when the tenant first appears; decisions
-    // then only touch lock-free handles (plus the timeline append).
+    // then only touch lock-free handles.
     telemetry::Gauge epsilon_gauge;
     telemetry::Gauge remaining_gauge;
   };
@@ -115,10 +116,14 @@ class BudgetGovernor {
   /// Caller holds mu_.
   Tenant& tenant_for(std::uint64_t tenant_id);
 
-  /// Appends the decision to the ε timeline and refreshes the tenant's
-  /// gauges. Caller holds mu_.
+  /// Publishes the decision and refreshes the tenant's gauges. Caller
+  /// holds mu_.
   void record_decision(std::uint64_t tenant_id, const Tenant& tenant,
                        const AdmissionDecision& decision);
+
+  /// Stamps `event` from the registry clock, records it as a kAdmission
+  /// wide event and feeds the forecaster. Caller holds mu_.
+  void publish(telemetry::BudgetEvent& event);
 
   TenantBudgetStats snapshot(std::uint64_t id, const Tenant& t) const;
 

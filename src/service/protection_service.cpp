@@ -1,11 +1,11 @@
 #include "service/protection_service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
 
 #include "telemetry/registry.hpp"
-#include "telemetry/span_tracer.hpp"
 
 namespace aegis::service {
 
@@ -43,7 +43,9 @@ ProtectionService::ProtectionService(ServiceConfig config)
       queue_(std::max<std::size_t>(1, config.queue_capacity)),
       submitted_(
           telemetry_->metrics().counter("aegis_sessions_submitted_total")),
-      queue_depth_(telemetry_->metrics().gauge("aegis_service_queue_depth")) {
+      queue_depth_(telemetry_->metrics().gauge("aegis_service_queue_depth")),
+      register_span_(*telemetry_, "service.register_template"),
+      dispatch_span_(*telemetry_, "service.dispatch") {
   manager_.set_attack_monitor(&attack_monitor_);
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
@@ -56,8 +58,8 @@ std::size_t ProtectionService::register_template(
     const core::OfflineConfig& offline, dp::MechanismConfig mechanism,
     core::ObfuscatorBuildOptions options, std::uint64_t seed) {
   const TemplateKey key = make_template_key(engine.cpu(), application, offline);
-  telemetry::ScopedSpan span(telemetry_->spans(), "service.register_template",
-                             "service", 0, key.workload_fingerprint);
+  telemetry::ScopedSpan span(
+      register_span_, 0, static_cast<std::uint32_t>(key.workload_fingerprint));
   // Always consult the cache so its lookup/hit/single-flight accounting
   // reflects every tenant registration, not just the first.
   auto analysis = cache_.get_or_analyze(key, engine.database(), [&] {
@@ -100,6 +102,21 @@ void ProtectionService::set_tenant_cap(std::uint64_t tenant_id,
 }
 
 bool ProtectionService::submit(SessionSubmission submission) {
+  // Reject here, on the caller's thread: a malformed request reaching a
+  // pool worker would take every tenant's sessions down with it.
+  const SessionRequest& request = submission.request;
+  if (request.application == nullptr) {
+    throw std::invalid_argument(
+        "ProtectionService: request has no application");
+  }
+  if (request.slices == 0) {
+    throw std::invalid_argument("ProtectionService: request has zero slices");
+  }
+  if (!std::isfinite(request.per_slice_epsilon) ||
+      request.per_slice_epsilon < 0.0) {
+    throw std::invalid_argument(
+        "ProtectionService: per_slice_epsilon must be finite and >= 0");
+  }
   {
     std::lock_guard lock(mu_);
     if (stopped_) return false;
@@ -129,8 +146,8 @@ void ProtectionService::dispatch_loop() {
     auto batch = queue_.pop_batch(std::max<std::size_t>(1, config_.batch_size));
     if (batch.empty()) return;  // closed and drained
     queue_depth_.set(static_cast<double>(queue_.size()));
-    telemetry::ScopedSpan batch_span(telemetry_->spans(), "service.dispatch",
-                                     "service", 0, batch.size());
+    telemetry::ScopedSpan batch_span(dispatch_span_, 0,
+                                     static_cast<std::uint32_t>(batch.size()));
 
     // A batch may mix templates; group contiguously by template id so each
     // fleet call shares one ProtectionTemplate.

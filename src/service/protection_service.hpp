@@ -27,6 +27,7 @@
 #include "service/template_cache.hpp"
 #include "telemetry/anomaly.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/registry.hpp"
 
 namespace aegis::service {
 
@@ -39,10 +40,11 @@ struct ServiceConfig {
   std::size_t batch_size = 16;
   GovernorConfig governor;
   TemplateCacheConfig cache;
-  /// Shared telemetry sink for the whole service (metrics, phase spans,
-  /// ε timeline). Null = the service owns a private registry, so
-  /// per-instance stats stay exact; the cache/governor/manager sinks are
-  /// overridden to point at the resolved registry either way.
+  /// Shared telemetry sink for the whole service: metrics, plus phase spans
+  /// and ε decisions as wide events in its flight recorder (bounded
+  /// rings, the only event store). Null = the service owns a private
+  /// registry, so per-instance stats stay exact; the cache/governor/manager
+  /// sinks are overridden to point at the resolved registry either way.
   telemetry::Registry* telemetry = nullptr;
   /// Online anomaly layer (telemetry/anomaly.hpp). The ε-exhaustion
   /// forecaster is always constructed and fed every governor decision —
@@ -94,7 +96,10 @@ class ProtectionService {
   void set_tenant_cap(std::uint64_t tenant_id, double epsilon_cap);
 
   /// Enqueues one session; blocks while the queue is full (backpressure).
-  /// Returns false iff the service is shutting down.
+  /// Returns false iff the service is shutting down. Throws
+  /// std::out_of_range for an unknown template id and
+  /// std::invalid_argument for a malformed request (null application,
+  /// zero slices, negative or non-finite per_slice_epsilon).
   bool submit(SessionSubmission submission);
 
   /// Blocks until every accepted submission has been dispatched and run.
@@ -143,6 +148,8 @@ class ProtectionService {
   // Registry-backed service counters/gauges (handles resolved once).
   telemetry::Counter submitted_;
   telemetry::Gauge queue_depth_;
+  telemetry::SpanSite register_span_;
+  telemetry::SpanSite dispatch_span_;
 
   // aegis-lint: lock-level(30, noblock)
   mutable std::mutex mu_;  // guards templates_, completed_, pending_

@@ -2,7 +2,6 @@
 
 #include "telemetry/anomaly.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/span_tracer.hpp"
 #include "util/rng.hpp"
 
 namespace aegis::service {
@@ -62,15 +61,14 @@ SessionResult run_protected_session(const ProtectionTemplate& tpl,
     // slice index) rather than the TimeSource: each noise-refresh fire
     // covers the granularity-wide window it protects. The wrapper draws no
     // randomness, so traces stay bit-identical with telemetry attached.
-    telemetry::SpanTracer* tracer = &telemetry->spans();
-    const std::uint64_t tenant = request.tenant_id;
+    const telemetry::SpanSite site(*telemetry, "inject.window");
+    const auto tenant = static_cast<std::uint32_t>(request.tenant_id);
     const std::size_t window = granularity == 0 ? 1 : granularity;
-    agent = [inner = std::move(agent), tracer, tenant,
+    agent = [inner = std::move(agent), site, tenant,
              window](sim::VirtualMachine& vm, std::size_t t) {
       if (t % window == 0) {
-        tracer->record_complete("inject.window", "obf", t * kSliceNs,
-                                (t + window) * kSliceNs,
-                                static_cast<std::uint32_t>(tenant), tenant);
+        site.record_complete(t * kSliceNs, (t + window) * kSliceNs, tenant,
+                             tenant);
       }
       inner(vm, t);
     };
@@ -102,7 +100,9 @@ SessionManager::SessionManager(std::size_t num_threads,
       degraded_(telemetry_->metrics().counter("aegis_sessions_degraded_total")),
       active_(telemetry_->metrics().gauge("aegis_sessions_active")),
       rng_event_(telemetry_->recorder().event_handle(
-          "session.rng", telemetry::WideEventType::kRngCheckpoint)) {}
+          "session.rng", telemetry::WideEventType::kRngCheckpoint)),
+      admission_span_(*telemetry_, "fleet.admission"),
+      session_span_(*telemetry_, "fleet.session") {}
 
 SessionManager::~SessionManager() = default;
 
@@ -115,8 +115,8 @@ std::vector<SessionResult> SessionManager::run_fleet(
   // shared per tenant, so decision order must not depend on scheduling.
   std::vector<std::size_t> granted(requests.size(), 0);
   {
-    telemetry::ScopedSpan admission(telemetry_->spans(), "fleet.admission",
-                                    "service", 0, requests.size());
+    telemetry::ScopedSpan admission(
+        admission_span_, 0, static_cast<std::uint32_t>(requests.size()));
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const SessionRequest& request = requests[i];
       const AdmissionDecision decision = governor_->request_window(
@@ -141,9 +141,9 @@ std::vector<SessionResult> SessionManager::run_fleet(
     if (granted[i] == 0) return;  // refused
     started_.inc();
     active_.add(1.0);
-    telemetry::ScopedSpan span(telemetry_->spans(), "fleet.session", "service",
-                               static_cast<std::uint32_t>(i),
-                               requests[i].tenant_id);
+    telemetry::ScopedSpan span(
+        session_span_, static_cast<std::uint32_t>(i),
+        static_cast<std::uint32_t>(requests[i].tenant_id));
     // RNG-stream checkpoint: the request seed plus the derived stream seeds
     // this session will consume, stamped with the request index. Wait-free
     // and RNG-free, so the trace stays bit-identical.

@@ -23,10 +23,10 @@
 #include "core/aegis.hpp"
 #include "service/budget_governor.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/registry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace aegis::telemetry {
-class Registry;
 class AttackProbabilityMonitor;
 struct SessionFeatures;
 }
@@ -80,9 +80,10 @@ struct SessionResult {
 /// exact computation a fleet session performs, with no fleet state at all.
 /// The fleet-determinism tests compare against this. When `telemetry` is
 /// non-null, each noise-refresh window (every `granularity`-th slice) is
-/// recorded as an "inject.window" span stamped from the session's VIRTUAL
-/// clock (slice index), so traces are deterministic and identical at any
-/// thread count; results are bit-identical with or without telemetry.
+/// recorded as an "inject.window" span (track and arg = tenant id) in its
+/// flight recorder, stamped from the session's VIRTUAL clock (slice
+/// index), so traces are deterministic and identical at any thread count;
+/// results are bit-identical with or without telemetry.
 SessionResult run_protected_session(const ProtectionTemplate& tpl,
                                     const SessionRequest& request,
                                     std::size_t granularity = 1,
@@ -143,6 +144,8 @@ class SessionManager {
   /// dump pinpoints exactly which randomness a session consumed. Stamped
   /// with the request index (virtual time) on the worker — wait-free.
   telemetry::EventHandle rng_event_;
+  telemetry::SpanSite admission_span_;
+  telemetry::SpanSite session_span_;
   telemetry::AttackProbabilityMonitor* attack_monitor_ = nullptr;
 };
 

@@ -94,7 +94,7 @@ void BudgetForecaster::ingest(const BudgetEvent& event) {
           tenant_metric("aegis_tenant_eps_burn_per_s", event.tenant_id));
       series.eta_gauge.set(kInf);
     }
-    if (event.outcome == "reset") {
+    if (event.outcome == BudgetOutcome::kReset) {
       // A fresh budget grant restarts the burn-down; yesterday's slope
       // would poison the new forecast.
       series.points.clear();
@@ -115,13 +115,9 @@ void BudgetForecaster::ingest(const BudgetEvent& event) {
     alerts_.inc();
     alert_event_.record(
         event.t_ns, static_cast<std::uint64_t>(AlertKind::kBudgetExhaustionSoon),
-        double_bits(fc.eta_ns), event.seq, double_bits(fc.epsilon),
+        double_bits(fc.eta_ns), 0, double_bits(fc.epsilon),
         static_cast<std::uint32_t>(event.tenant_id));
   }
-}
-
-void BudgetForecaster::ingest(const std::vector<BudgetEvent>& events) {
-  for (const BudgetEvent& e : events) ingest(e);
 }
 
 BudgetForecast BudgetForecaster::forecast(std::uint64_t tenant_id) const {

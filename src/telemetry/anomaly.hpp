@@ -1,7 +1,7 @@
 // Online anomaly layer on top of the telemetry plane (ROADMAP items 3/5):
 //
 //   * BudgetForecaster — per-tenant ε-exhaustion ETA from the slope of the
-//     BudgetTimeline's (t_ns, epsilon_after) series. Exposed as gauges
+//     governor's (t_ns, epsilon_after) decision series. Exposed as gauges
 //     (aegis_tenant_eta_ns / aegis_tenant_eps_burn_per_s) and consumed by
 //     BudgetGovernor as a proactive-degradation hint: a tenant forecast to
 //     exhaust inside the configured horizon is degraded one granularity
@@ -23,9 +23,9 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
-#include "telemetry/budget_timeline.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -38,6 +38,23 @@ enum class AlertKind : std::uint64_t {
   kBudgetExhaustionSoon = 1,
   kAttackSuspected = 2,
 };
+
+/// One BudgetGovernor decision or budget reset, as the forecaster sees it.
+/// The governor records the same decision as a kAdmission wide event
+/// (without the cap, which its remaining-ε gauge already publishes).
+struct BudgetEvent {
+  std::uint64_t t_ns = 0;
+  std::uint64_t tenant_id = 0;
+  BudgetOutcome outcome = BudgetOutcome::kAdmit;
+  /// Granularity granted for this window (0 for refuse/reset).
+  std::uint32_t granularity = 0;
+  /// Releases charged by this decision (0 for refuse/reset).
+  std::uint64_t releases = 0;
+  /// Advanced-composition ε after the decision was applied.
+  double epsilon_after = 0.0;
+  double epsilon_cap = 0.0;
+};
+static_assert(std::is_trivially_copyable_v<BudgetEvent>);
 
 struct BudgetForecast {
   bool valid = false;
@@ -61,7 +78,7 @@ struct ForecasterConfig {
 };
 
 /// Online per-tenant ε-exhaustion forecaster. Observed events arrive from
-/// BudgetGovernor::record_decision (submission order, under the governor's
+/// BudgetGovernor::publish (submission order, under the governor's
 /// level-15 lock — this class's lock sits above it at level 17, below the
 /// metrics registry it publishes gauges to).
 class BudgetForecaster {
@@ -73,15 +90,12 @@ class BudgetForecaster {
   BudgetForecaster(const BudgetForecaster&) = delete;
   BudgetForecaster& operator=(const BudgetForecaster&) = delete;
 
-  /// Feeds one admission decision. "reset" events clear the tenant's
+  /// Feeds one admission decision. kReset events clear the tenant's
   /// window (a new budget grant restarts the burn-down). Named `ingest`
   /// (not `observe`/`record`) so this allocating method never joins the
   /// name groups of the wait-free hot-path recording ops for the
   /// interprocedural linter.
   void ingest(const BudgetEvent& event);
-
-  /// Bulk replay, e.g. from BudgetTimeline::events() at attach time.
-  void ingest(const std::vector<BudgetEvent>& events);
 
   BudgetForecast forecast(std::uint64_t tenant_id) const;
 

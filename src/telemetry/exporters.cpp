@@ -1,7 +1,9 @@
 #include "telemetry/exporters.hpp"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <string>
 #include <string_view>
@@ -171,7 +173,10 @@ void write_prometheus(const MetricsSnapshot& snap, std::ostream& os) {
 
 void write_json_snapshot(const Registry& reg, std::ostream& os) {
   const MetricsSnapshot snap = reg.metrics().snapshot();
-  const std::vector<BudgetEvent> events = reg.budget().events();
+  std::vector<DrainedEvent> events = reg.recorder().drain();
+  std::erase_if(events, [](const DrainedEvent& e) {
+    return e.type != static_cast<std::uint16_t>(WideEventType::kAdmission);
+  });
 
   os << "{\n  \"counters\": {";
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
@@ -184,8 +189,11 @@ void write_json_snapshot(const Registry& reg, std::ostream& os) {
   os << "  \"gauges\": {";
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << "    \""
-       << json_escape(snap.gauges[i].name)
-       << "\": " << fmt_double(snap.gauges[i].value);
+       << json_escape(snap.gauges[i].name) << "\": "
+       // JSON has no infinity (an unforecast ETA gauge holds one): null.
+       << (std::isfinite(snap.gauges[i].value)
+               ? fmt_double(snap.gauges[i].value)
+               : std::string("null"));
   }
   os << (snap.gauges.empty() ? "},\n" : "\n  },\n");
 
@@ -208,49 +216,19 @@ void write_json_snapshot(const Registry& reg, std::ostream& os) {
 
   os << "  \"budget_timeline\": [";
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto& e = events[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"seq\": " << fmt_u64(e.seq)
-       << ", \"t_ns\": " << fmt_u64(e.t_ns)
-       << ", \"tenant\": " << fmt_u64(e.tenant_id) << ", \"outcome\": \""
-       << json_escape(e.outcome) << "\", \"granularity\": " << e.granularity
-       << ", \"releases\": " << fmt_u64(e.releases)
-       << ", \"epsilon_after\": " << fmt_double(e.epsilon_after)
-       << ", \"epsilon_cap\": " << fmt_double(e.epsilon_cap) << '}';
+    const DrainedEvent& e = events[i];
+    double epsilon_after = 0.0;
+    std::memcpy(&epsilon_after, &e.d, sizeof(epsilon_after));
+    os << (i == 0 ? "\n" : ",\n") << "    {\"seq\": " << fmt_u64(i)
+       << ", \"t_ns\": " << fmt_u64(e.t_ns) << ", \"tenant\": " << e.tenant
+       << ", \"outcome\": \""
+       << to_string(static_cast<BudgetOutcome>(e.a))
+       << "\", \"granularity\": " << fmt_u64(e.b)
+       << ", \"releases\": " << fmt_u64(e.c)
+       << ", \"epsilon_after\": " << fmt_double(epsilon_after) << '}';
   }
   os << (events.empty() ? "]\n" : "\n  ]\n");
   os << "}\n";
-}
-
-void write_trace_json(const Registry& reg, std::ostream& os) {
-  const std::vector<Span> spans = reg.spans().completed();
-  const std::vector<BudgetEvent> events = reg.budget().events();
-
-  os << "{\"traceEvents\": [";
-  bool first = true;
-  for (const auto& s : spans) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    // trace_event ts/dur are microseconds (doubles, so sub-µs survives).
-    os << "  {\"name\": \"" << json_escape(s.name) << "\", \"cat\": \""
-       << json_escape(s.category) << "\", \"ph\": \"X\", \"ts\": "
-       << fmt_double(static_cast<double>(s.begin_ns) / 1000.0)
-       << ", \"dur\": "
-       << fmt_double(static_cast<double>(s.end_ns - s.begin_ns) / 1000.0)
-       << ", \"pid\": 1, \"tid\": " << s.track << ", \"args\": {\"id\": "
-       << fmt_u64(s.id) << ", \"parent\": " << fmt_u64(s.parent)
-       << ", \"arg\": " << fmt_u64(s.arg) << "}}";
-  }
-  for (const auto& e : events) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "  {\"name\": \"epsilon tenant " << fmt_u64(e.tenant_id)
-       << "\", \"cat\": \"budget\", \"ph\": \"C\", \"ts\": "
-       << fmt_double(static_cast<double>(e.t_ns) / 1000.0)
-       << ", \"pid\": 1, \"tid\": 0, \"args\": {\"epsilon\": "
-       << fmt_double(e.epsilon_after) << ", \"remaining\": "
-       << fmt_double(e.epsilon_cap - e.epsilon_after) << "}}";
-  }
-  os << (first ? "]" : "\n]") << ", \"displayTimeUnit\": \"ms\"}\n";
 }
 
 }  // namespace aegis::telemetry

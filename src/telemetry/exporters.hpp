@@ -1,10 +1,10 @@
-// Exporters: Prometheus text exposition, JSON snapshot (aegis_top input),
-// and chrome://tracing trace_event JSON.
+// Exporters: Prometheus text exposition and the JSON snapshot (aegis_top
+// input). The chrome://tracing writer lives beside the flight recorder
+// (write_trace_json), since it reads recorder events only.
 //
-// All three are deterministic given deterministic inputs: metrics iterate in
-// name order, spans in (begin_ns, id) order, budget events in seq order, and
-// doubles print via a fixed %.10g format — the exporter golden tests pin the
-// bytes.
+// Both are deterministic given deterministic inputs: metrics iterate in
+// name order, budget events in drain() order, and doubles print via a
+// fixed %.10g format — the exporter golden tests pin the bytes.
 #pragma once
 
 #include <ostream>
@@ -25,14 +25,12 @@ namespace aegis::telemetry {
 void write_prometheus(const MetricsSnapshot& snap, std::ostream& os);
 
 /// One JSON object: {"counters": {...}, "gauges": {...},
-/// "histograms": {...}, "budget_timeline": [...]}. This is the wire format
+/// "histograms": {...}, "budget_timeline": [...]}. Non-finite gauges are
+/// written as null, since JSON has no infinity. The timeline lists the
+/// kAdmission events still in the recorder, in drain() order; a tenant's
+/// ε cap is not repeated per event (see the
+/// aegis_tenant_epsilon_remaining gauges). This is the wire format
 /// tools/aegis_top consumes.
 void write_json_snapshot(const Registry& reg, std::ostream& os);
-
-/// chrome://tracing / Perfetto trace_event JSON: each completed span becomes
-/// a `"ph":"X"` complete event (ts/dur in microseconds, pid 1, tid = track),
-/// and each budget event becomes a `"ph":"C"` counter sample on an
-/// "epsilon tenant N" track so ε burn-down renders as a stacked area chart.
-void write_trace_json(const Registry& reg, std::ostream& os);
 
 }  // namespace aegis::telemetry

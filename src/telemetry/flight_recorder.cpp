@@ -11,6 +11,7 @@
 #include <exception>
 #include <istream>
 #include <ostream>
+#include <unordered_map>
 
 namespace aegis::telemetry {
 
@@ -186,6 +187,16 @@ const char* to_string(WideEventType t) noexcept {
   return "?";
 }
 
+const char* to_string(BudgetOutcome o) noexcept {
+  switch (o) {
+    case BudgetOutcome::kAdmit: return "admit";
+    case BudgetOutcome::kDegrade: return "degrade";
+    case BudgetOutcome::kRefuse: return "refuse";
+    case BudgetOutcome::kReset: return "reset";
+  }
+  return "?";
+}
+
 void EventHandle::record(std::uint64_t t_ns, std::uint64_t a, std::uint64_t b,
                          std::uint64_t c, std::uint64_t d,
                          std::uint32_t tenant) const noexcept {
@@ -328,6 +339,15 @@ std::vector<DrainedEvent> FlightRecorder::drain() const {
               return x.seq < y.seq;
             });
   return out;
+}
+
+DumpDocument FlightRecorder::snapshot() const {
+  DumpDocument doc;
+  doc.version = kDumpVersion;
+  doc.events = drain();
+  doc.dropped = dropped();  // after drain(): includes its torn slots
+  doc.streams = streams();
+  return doc;
 }
 
 std::uint64_t FlightRecorder::dropped() const noexcept {
@@ -524,28 +544,81 @@ std::optional<DumpDocument> read_dump_file(const char* path) {
   return read_dump(is);
 }
 
-void write_recorder_trace_json(const DumpDocument& doc, std::ostream& os) {
+std::vector<CompletedSpan> complete_spans(
+    const std::vector<DrainedEvent>& events) {
+  constexpr auto kBegin = static_cast<std::uint16_t>(WideEventType::kSpanBegin);
+  constexpr auto kEnd = static_cast<std::uint16_t>(WideEventType::kSpanEnd);
+  std::unordered_map<std::uint64_t, const DrainedEvent*> ends;
+  for (const DrainedEvent& ev : events) {
+    if (ev.type == kEnd) ends.emplace(ev.a, &ev);
+  }
+  std::vector<CompletedSpan> spans;
+  for (const DrainedEvent& ev : events) {
+    if (ev.type != kBegin) continue;
+    const auto it = ends.find(ev.a);
+    if (it == ends.end()) continue;  // still open, or its end was lost
+    CompletedSpan s;
+    s.id = ev.a;
+    s.parent = ev.c;
+    s.begin_ns = ev.t_ns;
+    s.end_ns = std::max(ev.t_ns, it->second->t_ns);
+    s.track = static_cast<std::uint32_t>(ev.d);
+    s.arg = ev.tenant;
+    s.stream = ev.stream;
+    spans.push_back(s);
+  }
+  return spans;
+}
+
+void write_trace_json(const DumpDocument& doc, std::ostream& os) {
+  auto stream_name = [&](std::uint16_t stream) {
+    if (stream < doc.streams.size()) return json_escape(doc.streams[stream]);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "stream#%u", static_cast<unsigned>(stream));
+    return std::string(buf);
+  };
+  auto us = [](std::uint64_t ns) {
+    return fmt_double(static_cast<double>(ns) / 1000.0);
+  };
+  // Spans emit at their begin event's position in the document.
+  const std::vector<CompletedSpan> spans = complete_spans(doc.events);
+  std::size_t next_span = 0;
+
   os << "{\"traceEvents\": [";
   bool first = true;
   for (const DrainedEvent& ev : doc.events) {
-    std::string name;
-    if (ev.stream < doc.streams.size()) {
-      name = json_escape(doc.streams[ev.stream]);
-    } else {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "stream#%u",
-                    static_cast<unsigned>(ev.stream));
-      name = buf;
+    const auto type = static_cast<WideEventType>(ev.type);
+    if (type == WideEventType::kSpanEnd ||
+        (type == WideEventType::kSpanBegin &&
+         (next_span == spans.size() || spans[next_span].id != ev.a))) {
+      continue;  // ends are folded into their span; unpaired begins dropped
     }
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "  {\"name\": \"" << name << "\", \"cat\": \""
-       << to_string(static_cast<WideEventType>(ev.type))
-       << "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": "
-       << fmt_double(static_cast<double>(ev.t_ns) / 1000.0)
-       << ", \"pid\": 1, \"tid\": " << ev.ring << ", \"args\": {\"a\": " << ev.a
-       << ", \"b\": " << ev.b << ", \"c\": " << ev.c << ", \"d\": " << ev.d
-       << ", \"tenant\": " << ev.tenant << ", \"seq\": " << ev.seq << "}}";
+    if (type == WideEventType::kSpanBegin) {
+      const CompletedSpan& s = spans[next_span++];
+      const std::string name = stream_name(s.stream);
+      os << "  {\"name\": \"" << name << "\", \"cat\": \""
+         << name.substr(0, name.find('.')) << "\", \"ph\": \"X\", \"ts\": "
+         << us(s.begin_ns) << ", \"dur\": " << us(s.end_ns - s.begin_ns)
+         << ", \"pid\": 1, \"tid\": " << s.track << ", \"args\": {\"id\": "
+         << s.id << ", \"parent\": " << s.parent << ", \"arg\": " << s.arg
+         << "}}";
+    } else if (type == WideEventType::kAdmission) {
+      double epsilon = 0.0;
+      std::memcpy(&epsilon, &ev.d, sizeof(epsilon));
+      os << "  {\"name\": \"epsilon tenant " << ev.tenant
+         << "\", \"cat\": \"budget\", \"ph\": \"C\", \"ts\": " << us(ev.t_ns)
+         << ", \"pid\": 1, \"tid\": 0, \"args\": {\"epsilon\": "
+         << fmt_double(epsilon) << "}}";
+    } else {
+      os << "  {\"name\": \"" << stream_name(ev.stream) << "\", \"cat\": \""
+         << to_string(type) << "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": "
+         << us(ev.t_ns) << ", \"pid\": 1, \"tid\": " << ev.ring
+         << ", \"args\": {\"a\": " << ev.a << ", \"b\": " << ev.b
+         << ", \"c\": " << ev.c << ", \"d\": " << ev.d
+         << ", \"tenant\": " << ev.tenant << ", \"seq\": " << ev.seq << "}}";
+    }
   }
   os << (first ? "]" : "\n]") << ", \"displayTimeUnit\": \"ms\"}\n";
 }

@@ -52,11 +52,12 @@ class FlightRecorder;
 /// (version header below): append new kinds, never renumber.
 enum class WideEventType : std::uint16_t {
   kNone = 0,
-  kSpanBegin = 1,      // a=span id, b=fnv1a(name), c=parent id, d=track
-  kSpanEnd = 2,        // a=span id, b=fnv1a(name), c=0, d=track
+  kSpanBegin = 1,      // a=span id, b=fnv1a(name), c=parent id, d=track,
+                       // tenant=free-form arg; the stream is the span name
+  kSpanEnd = 2,        // a=span id, b=fnv1a(name), c=0, d=track, tenant=arg
   kMetricDelta = 3,    // a/b/c/d free-form (site-defined deltas)
-  kAdmission = 4,      // a=outcome code, b=granularity, c=releases,
-                       // d=epsilon_after bits (memcpy'd double)
+  kAdmission = 4,      // a=BudgetOutcome, b=granularity, c=releases,
+                       // d=epsilon_after bits (memcpy'd double), tenant
   kPlanRotation = 5,   // a=slice, b=variant index, c=period, d=0
   kRngCheckpoint = 6,  // a=derived seed, b=stream index, c/d free-form
   kAlert = 7,          // a=alert kind, b=score bits (double), c/d free-form
@@ -64,6 +65,17 @@ enum class WideEventType : std::uint16_t {
 };
 
 const char* to_string(WideEventType t) noexcept;
+
+/// Budget-governor decision carried in kAdmission events (field `a`). Part
+/// of the dump format like WideEventType: append, never renumber.
+enum class BudgetOutcome : std::uint8_t {
+  kAdmit = 0,
+  kDegrade = 1,
+  kRefuse = 2,
+  kReset = 3,  // a new budget grant; ε restarts at 0
+};
+
+const char* to_string(BudgetOutcome o) noexcept;
 
 /// One decoded event, as produced by drain()/read_dump().
 struct DrainedEvent {
@@ -130,6 +142,17 @@ struct DumpDocument {
   std::vector<DrainedEvent> events;
 };
 
+/// A span rebuilt from its kSpanBegin/kSpanEnd pair.
+struct CompletedSpan {
+  std::uint64_t id = 0;
+  std::uint64_t parent = 0;  // 0 = no parent
+  std::uint64_t begin_ns = 0;
+  std::uint64_t end_ns = 0;
+  std::uint32_t track = 0;
+  std::uint32_t arg = 0;
+  std::uint16_t stream = 0;  // the span's name
+};
+
 class FlightRecorder {
  public:
   explicit FlightRecorder(RecorderConfig config = {});
@@ -168,6 +191,10 @@ class FlightRecorder {
   /// sorted by (t_ns, ring, seq) — deterministic and seed-stable when the
   /// recording run was.
   std::vector<DrainedEvent> drain() const;
+
+  /// drain() plus the stream names and drop count, in dump form: what the
+  /// trace writer and live viewers read without a dump file round trip.
+  DumpDocument snapshot() const;
 
   /// Events lost to overwrite (ring wrap) plus torn slots skipped by the
   /// most recent drain/dump.
@@ -231,9 +258,10 @@ class FlightRecorder {
   std::unique_ptr<Ring[]> rings_;
   mutable std::atomic<std::uint64_t> torn_{0};
 
-  // Registration slow path. Level sits between the metrics registry (52)
-  // and the span tracer (55): spans record through pre-resolved handles, so
-  // the recorder lock is never taken while a span/timeline lock is held.
+  // Registration slow path and the top of the telemetry lattice: it sits
+  // above the metrics registry (52), and nothing is taken while it is
+  // held. Spans and ε decisions record through pre-resolved handles, so
+  // the record path takes no lock at all.
   // aegis-lint: lock-level(53, noblock)
   mutable std::mutex mu_;
   std::vector<std::string> stream_names_;
@@ -254,9 +282,21 @@ class FlightRecorder {
 std::optional<DumpDocument> read_dump(std::istream& is);
 std::optional<DumpDocument> read_dump_file(const char* path);
 
-/// chrome://tracing conversion: each wide event becomes a "ph":"i" instant
-/// event (ts in µs, tid = ring) named by its stream, payload in args.
-/// Deterministic: events emit in document order.
-void write_recorder_trace_json(const DumpDocument& doc, std::ostream& os);
+/// Pairs every kSpanBegin with the kSpanEnd of the same span id, in the
+/// begin events' order. An end whose begin was overwritten, and a begin
+/// whose end is not (yet) recorded, yield nothing.
+std::vector<CompletedSpan> complete_spans(
+    const std::vector<DrainedEvent>& events);
+
+/// The chrome://tracing / Perfetto trace_event JSON writer, in document
+/// order (ts/dur in µs, pid 1):
+///   * each completed span (complete_spans) is a "ph":"X" event named by
+///     its stream, cat = the name up to the first '.', tid = track;
+///   * each kAdmission event is a "ph":"C" sample of ε on an
+///     "epsilon tenant N" counter track;
+///   * every other event is a "ph":"i" instant (tid = ring) with its
+///     payload in args.
+/// Unpaired span begin/end events are left out.
+void write_trace_json(const DumpDocument& doc, std::ostream& os);
 
 }  // namespace aegis::telemetry

@@ -21,13 +21,13 @@ namespace {
 
 BudgetEvent make_event(std::uint64_t tenant, std::uint64_t t_ns,
                        double epsilon_after, double cap,
-                       std::string outcome = "admit") {
+                       BudgetOutcome outcome = BudgetOutcome::kAdmit) {
   BudgetEvent e;
   e.tenant_id = tenant;
   e.t_ns = t_ns;
   e.epsilon_after = epsilon_after;
   e.epsilon_cap = cap;
-  e.outcome = std::move(outcome);
+  e.outcome = outcome;
   return e;
 }
 
@@ -101,7 +101,7 @@ TEST(BudgetForecaster, ResetClearsTheTenantWindow) {
     fc.ingest(make_event(9, i * 1000, 0.1 * static_cast<double>(i), 8.0));
   }
   ASSERT_TRUE(fc.forecast(9).valid);
-  fc.ingest(make_event(9, 7000, 0.0, 8.0, "reset"));
+  fc.ingest(make_event(9, 7000, 0.0, 8.0, BudgetOutcome::kReset));
   EXPECT_FALSE(fc.forecast(9).valid)
       << "a fresh grant must not inherit yesterday's slope";
 }

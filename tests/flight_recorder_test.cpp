@@ -1,9 +1,10 @@
 // Flight-recorder tests: the seqlock ring protocol (single-thread semantics,
 // overwrite-oldest drops, disabled/null paths), the byte-exact v1 dump
 // format and its chrome://tracing conversion, concurrent writers + drains
-// under TSan, the allocation-free record-path proof (instrumented global
-// allocator), and the seeded-crash dump (fork + abort -> parseable dump
-// holding the last ring_capacity events).
+// under TSan, the allocation-free record-path proofs for raw events, spans
+// and ε decisions (instrumented global allocator), and the seeded-crash
+// dump (fork + abort -> parseable dump holding the last ring_capacity
+// events).
 #include "telemetry/flight_recorder.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,9 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "service/budget_governor.hpp"
+#include "telemetry/registry.hpp"
 
 // ---------------------------------------------------------------------------
 // Instrumented global allocator. Counting is gated on a flag so only the
@@ -159,6 +163,35 @@ TEST(FlightRecorder, RecordPathIsAllocationFree) {
       << "EventHandle::record allocated on the hot path";
 }
 
+// Spans and ε decisions are wide events too: once their handles are
+// resolved (the SpanSite, the tenant's first decision), recording them
+// allocates nothing.
+TEST(FlightRecorder, SpanAndBudgetDecisionRecordingIsAllocationFree) {
+  Registry reg;
+  const SpanSite site(reg, "test.span");
+  service::GovernorConfig config;
+  config.telemetry = &reg;
+  config.default_epsilon_cap = 1e9;
+  service::BudgetGovernor governor(config);
+  governor.request_window(1, 4, 0.01);  // registers the tenant's gauges
+
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    {
+      ScopedSpan outer(site, 0, 1);
+      ScopedSpan inner(site, 1, 2);
+    }
+    site.record_complete(i, i + 1, 3, 4);
+    governor.request_window(1, 4, 0.01);
+  }
+  g_count_allocs.store(false, std::memory_order_relaxed);
+
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u)
+      << "span or ε-decision recording allocated";
+  EXPECT_FALSE(complete_spans(reg.recorder().drain()).empty());
+}
+
 // ---------------------------------------------------------------------------
 // Dump format v1
 
@@ -252,7 +285,7 @@ TEST(FlightRecorderDump, TraceJsonConversionIsByteExact) {
   ASSERT_TRUE(doc.has_value());
 
   std::ostringstream os;
-  write_recorder_trace_json(*doc, os);
+  write_trace_json(*doc, os);
   EXPECT_EQ(os.str(),
             "{\"traceEvents\": [\n"
             "  {\"name\": \"beta\", \"cat\": \"alert\", \"ph\": \"i\", "

@@ -2,10 +2,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "attack/wfa.hpp"
@@ -58,6 +65,17 @@ struct Fixture {
 Fixture& fixture() {
   static Fixture f;
   return f;
+}
+
+/// A registry's completed spans with their names, from one drain().
+std::vector<std::pair<std::string, telemetry::CompletedSpan>> drained_spans(
+    const telemetry::Registry& registry) {
+  const telemetry::DumpDocument doc = registry.recorder().snapshot();
+  std::vector<std::pair<std::string, telemetry::CompletedSpan>> out;
+  for (const auto& s : telemetry::complete_spans(doc.events)) {
+    out.emplace_back(doc.streams.at(s.stream), s);
+  }
+  return out;
 }
 
 std::string fresh_dir(const std::string& name) {
@@ -316,12 +334,12 @@ TEST(SessionFleet, TelemetryAttachmentDoesNotPerturbResults) {
 
   // Every noise-refresh window was recorded from the VIRTUAL clock: one
   // span per granularity-2 window, stamped in slice-index nanoseconds.
-  const auto spans = registry.spans().completed();
+  const auto spans = drained_spans(registry);
   ASSERT_EQ(spans.size(), (req.slices + 1) / 2);
-  EXPECT_EQ(spans[0].name, "inject.window");
-  EXPECT_EQ(spans[0].begin_ns, 0u);
-  EXPECT_EQ(spans[0].end_ns, 2000u);  // 2 slices x 1000 ns/slice
-  EXPECT_EQ(spans[0].arg, req.tenant_id);
+  EXPECT_EQ(spans[0].first, "inject.window");
+  EXPECT_EQ(spans[0].second.begin_ns, 0u);
+  EXPECT_EQ(spans[0].second.end_ns, 2000u);  // 2 slices x 1000 ns/slice
+  EXPECT_EQ(spans[0].second.arg, req.tenant_id);
 }
 
 TEST(SessionFleet, SharedRegistryCollectsFleetCountersAndBudgetTimeline) {
@@ -347,23 +365,54 @@ TEST(SessionFleet, SharedRegistryCollectsFleetCountersAndBudgetTimeline) {
   EXPECT_EQ(counter_value("aegis_sessions_started_total"), kTenants);
   EXPECT_EQ(counter_value("aegis_sessions_completed_total"), kTenants);
 
-  // One ε-timeline event per admission decision, in submission order.
-  const auto events = registry.budget().events();
+  // One ε-decision event per admission decision, in submission order.
+  std::vector<telemetry::DrainedEvent> events;
+  for (const auto& e : registry.recorder().drain()) {
+    if (e.type ==
+        static_cast<std::uint16_t>(telemetry::WideEventType::kAdmission)) {
+      events.push_back(e);
+    }
+  }
   ASSERT_EQ(events.size(), kTenants);
   for (std::size_t t = 0; t < kTenants; ++t) {
-    EXPECT_EQ(events[t].tenant_id, t);
-    EXPECT_EQ(events[t].outcome, "admit");
-    EXPECT_GT(events[t].epsilon_after, 0.0);
+    EXPECT_EQ(events[t].tenant, t);
+    EXPECT_EQ(events[t].a,
+              static_cast<std::uint64_t>(telemetry::BudgetOutcome::kAdmit));
+    double epsilon_after = 0.0;
+    std::memcpy(&epsilon_after, &events[t].d, sizeof(epsilon_after));
+    EXPECT_GT(epsilon_after, 0.0);
   }
 
   // The fleet phases traced: one admission span + one span per session.
   std::size_t admission = 0, sessions = 0;
-  for (const auto& s : registry.spans().completed()) {
-    if (s.name == "fleet.admission") ++admission;
-    if (s.name == "fleet.session") ++sessions;
+  for (const auto& [name, span] : drained_spans(registry)) {
+    if (name == "fleet.admission") ++admission;
+    if (name == "fleet.session") ++sessions;
   }
   EXPECT_EQ(admission, 1u);
   EXPECT_EQ(sessions, kTenants);
+}
+
+TEST(SessionFleet, SameSeedGivesTheSameRecorderDumpBytes) {
+  auto& f = fixture();
+  // One thread, a fresh registry each time: the admission event and the
+  // injection-window spans must serialize to the same bytes.
+  auto dump = [&] {
+    telemetry::Registry registry;
+    GovernorConfig gov_config;
+    gov_config.telemetry = &registry;
+    BudgetGovernor governor(gov_config);
+    const SessionRequest req = f.request(5);
+    const AdmissionDecision decision = governor.request_window(
+        req.tenant_id, req.slices, req.per_slice_epsilon);
+    (void)run_protected_session(f.tpl, req, decision.granularity, &registry);
+    std::ostringstream os;
+    registry.recorder().write_dump(os);
+    return os.str();
+  };
+  const std::string first = dump();
+  EXPECT_GT(first.size(), 40u + 56u * 80u);  // header + 40 windows x 2
+  EXPECT_EQ(first, dump());
 }
 
 TEST(SessionFleet, TenantTraceIndependentOfFleetComposition) {
@@ -639,6 +688,45 @@ TEST(ProtectionServiceTest, EndToEndFleetThroughTheDaemon) {
     EXPECT_GT(done.latency_seconds, 0.0);
   }
   EXPECT_TRUE(svc.take_completed().empty());  // moved out
+}
+
+TEST(ProtectionServiceTest, MalformedRequestsAreRejectedAtSubmit) {
+  auto& f = fixture();
+  // Warm-start the template from disk rather than re-running the analysis.
+  const std::string dir = fresh_dir("malformed");
+  {
+    TemplateCache seeded({dir});
+    (void)seeded.get_or_analyze(
+        make_template_key(f.aegis.cpu(), *f.secrets[0], f.config),
+        f.aegis.database(), [&] { return *f.analysis; });
+  }
+  ServiceConfig config;
+  config.num_threads = 2;
+  config.cache.cache_dir = dir;
+  ProtectionService svc(config);
+  const std::size_t tpl_id = svc.register_template(
+      f.aegis, *f.secrets[0], f.secrets, f.config, f.mechanism(), {},
+      0xFEEDULL);
+
+  std::vector<SessionRequest> bad(5, f.request(1, 20));
+  bad[0].application = nullptr;
+  bad[1].slices = 0;
+  bad[2].per_slice_epsilon = -0.1;
+  bad[3].per_slice_epsilon = std::numeric_limits<double>::quiet_NaN();
+  bad[4].per_slice_epsilon = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("malformed field " + std::to_string(i));
+    EXPECT_THROW(svc.submit({tpl_id, bad[i]}), std::invalid_argument);
+  }
+
+  // Nothing was enqueued, and the service still serves a valid request.
+  ASSERT_TRUE(svc.submit({tpl_id, f.request(1, 20)}));
+  svc.drain();
+  const auto completed = svc.take_completed();
+  ASSERT_EQ(completed.size(), 1u);
+  EXPECT_EQ(completed[0].result.outcome, Admission::kAdmit);
+  EXPECT_FALSE(completed[0].result.trace.samples.empty());
+  EXPECT_EQ(svc.stats().sessions_submitted, 1u);
 }
 
 TEST(ProtectionServiceTest, ConcurrentRegistrationsShareOneTemplate) {

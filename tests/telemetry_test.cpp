@@ -1,23 +1,53 @@
 // Telemetry subsystem tests: histogram bucket semantics, snapshot merge
 // determinism, byte-stable exporter golden files under a fixed TimeSource,
-// span parentage, the ε timeline, the JSON reader, and a threaded registry
-// stress intended for the TSan config of the CI matrix.
+// span parentage and pairing in the flight recorder, the ε timeline view,
+// the JSON reader, and a threaded registry stress intended for the TSan
+// config of the CI matrix.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "service/budget_governor.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/json_reader.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/span_tracer.hpp"
 #include "telemetry/time_source.hpp"
 
 namespace aegis::telemetry {
 namespace {
+
+/// Completed spans of a registry, with their names, from one drain().
+struct NamedSpan {
+  std::string name;
+  CompletedSpan span;
+};
+
+std::vector<NamedSpan> drained_spans(const Registry& reg) {
+  const DumpDocument doc = reg.recorder().snapshot();
+  std::vector<NamedSpan> out;
+  for (const CompletedSpan& s : complete_spans(doc.events)) {
+    out.push_back({doc.streams.at(s.stream), s});
+  }
+  return out;
+}
+
+/// Records one ε decision the way BudgetGovernor does.
+void record_admission(Registry& reg, std::uint64_t t_ns, std::uint32_t tenant,
+                      BudgetOutcome outcome, std::uint64_t granularity,
+                      std::uint64_t releases, double epsilon_after) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &epsilon_after, sizeof(bits));
+  reg.recorder().record_named("governor.decision", WideEventType::kAdmission,
+                              t_ns, static_cast<std::uint64_t>(outcome),
+                              granularity, releases, bits, tenant);
+}
 
 // ---------------------------------------------------------------------------
 // Metrics
@@ -186,43 +216,94 @@ TEST(Metrics, ThreadedRegistryStress) {
 
 TEST(Spans, ScopedSpanInfersParentOnOneThread) {
   ManualTimeSource clock;
-  SpanTracer tracer(&clock);
+  Registry reg(&clock);
+  const SpanSite outer_site(reg, "test.outer");
+  const SpanSite inner_site(reg, "test.inner");
   {
-    ScopedSpan outer(tracer, "outer", "test");
+    ScopedSpan outer(outer_site);
     clock.advance_ns(100);
-    { ScopedSpan inner(tracer, "inner", "test"); clock.advance_ns(50); }
+    { ScopedSpan inner(inner_site); clock.advance_ns(50); }
     clock.advance_ns(25);
   }
-  const std::vector<Span> spans = tracer.completed();
+  const std::vector<NamedSpan> spans = drained_spans(reg);
   ASSERT_EQ(spans.size(), 2u);
-  // Sorted by (begin_ns, id): outer begins at 0, inner at 100.
-  EXPECT_EQ(spans[0].name, "outer");
-  EXPECT_EQ(spans[0].parent, 0u);
-  EXPECT_EQ(spans[1].name, "inner");
-  EXPECT_EQ(spans[1].parent, spans[0].id);
-  EXPECT_EQ(spans[1].begin_ns, 100u);
-  EXPECT_EQ(spans[1].end_ns, 150u);
-  EXPECT_EQ(spans[0].end_ns, 175u);
+  // Begin order: outer begins at 0, inner at 100.
+  EXPECT_EQ(spans[0].name, "test.outer");
+  EXPECT_EQ(spans[0].span.parent, 0u);
+  EXPECT_EQ(spans[1].name, "test.inner");
+  EXPECT_EQ(spans[1].span.parent, spans[0].span.id);
+  EXPECT_EQ(spans[1].span.begin_ns, 100u);
+  EXPECT_EQ(spans[1].span.end_ns, 150u);
+  EXPECT_EQ(spans[0].span.end_ns, 175u);
 }
 
 TEST(Spans, RecordCompleteBypassesTheClock) {
   ManualTimeSource clock;
   clock.set_ns(999999);
-  SpanTracer tracer(&clock);
-  tracer.record_complete("virtual", "sim", 1000, 3000, 7, 42);
-  const std::vector<Span> spans = tracer.completed();
+  Registry reg(&clock);
+  SpanSite(reg, "sim.virtual").record_complete(1000, 3000, 7, 42);
+  const std::vector<NamedSpan> spans = drained_spans(reg);
   ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].begin_ns, 1000u);
-  EXPECT_EQ(spans[0].end_ns, 3000u);
-  EXPECT_EQ(spans[0].track, 7u);
-  EXPECT_EQ(spans[0].arg, 42u);
+  EXPECT_EQ(spans[0].span.begin_ns, 1000u);
+  EXPECT_EQ(spans[0].span.end_ns, 3000u);
+  EXPECT_EQ(spans[0].span.track, 7u);
+  EXPECT_EQ(spans[0].span.arg, 42u);
 }
 
 TEST(Spans, EndOfUnknownIdIsIgnored) {
-  ManualTimeSource clock;
-  SpanTracer tracer(&clock);
-  tracer.end(12345);
-  EXPECT_TRUE(tracer.completed().empty());
+  FlightRecorder rec;
+  rec.record_named("s", WideEventType::kSpanEnd, 10, /*id=*/12345);
+  EXPECT_TRUE(complete_spans(rec.drain()).empty());
+}
+
+// The pairing the trace writer uses, across a ring wrap: an end whose begin
+// was overwritten is skipped, and a begin still open at drain time yields
+// no complete event.
+TEST(Spans, PairingSkipsOverwrittenBeginsAndOpenSpans) {
+  RecorderConfig config;
+  config.ring_capacity = 4;
+  config.rings = 1;
+  FlightRecorder rec(config);
+  const EventHandle begin = rec.event_handle("w", WideEventType::kSpanBegin);
+  const EventHandle end = rec.event_handle("w", WideEventType::kSpanEnd);
+  begin.record(0, /*id=*/1);  // overwritten by the wrap below
+  begin.record(1, 2);
+  end.record(2, 2);
+  end.record(3, 1);  // its begin is gone by drain time
+  begin.record(4, 3);
+  end.record(5, 3);
+  begin.record(6, 4);  // still open
+  const std::vector<DrainedEvent> events = rec.drain();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(rec.dropped(), 3u);
+
+  const std::vector<CompletedSpan> spans = complete_spans(events);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].id, 3u);
+  EXPECT_EQ(spans[0].begin_ns, 4u);
+  EXPECT_EQ(spans[0].end_ns, 5u);
+
+  DumpDocument doc = rec.snapshot();
+  std::ostringstream os;
+  write_trace_json(doc, os);
+  EXPECT_EQ(os.str(),
+            "{\"traceEvents\": [\n"
+            "  {\"name\": \"w\", \"cat\": \"w\", \"ph\": \"X\", "
+            "\"ts\": 0.004, \"dur\": 0.001, \"pid\": 1, \"tid\": 0, "
+            "\"args\": {\"id\": 3, \"parent\": 0, \"arg\": 0}}\n"
+            "], \"displayTimeUnit\": \"ms\"}\n");
+}
+
+// The event store is bounded: a long-running thread of spans keeps at most
+// one ring of events, and every event it lost is counted.
+TEST(Spans, SpanMemoryIsBoundedByOneRing) {
+  Registry reg;
+  const SpanSite site(reg, "test.loop");
+  constexpr std::uint64_t kSpans = 100000;
+  for (std::uint64_t i = 0; i < kSpans; ++i) ScopedSpan span(site);
+  const std::vector<DrainedEvent> kept = reg.recorder().drain();
+  EXPECT_LE(kept.size(), reg.recorder().ring_capacity());
+  EXPECT_EQ(reg.recorder().dropped(), 2 * kSpans - kept.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -239,12 +320,13 @@ void populate_golden(Registry& reg, ManualTimeSource& clock) {
   h.observe(50.0);
 
   clock.set_ns(1000);
-  const std::uint64_t id = reg.spans().begin("phase", "test", 1, 9);
-  clock.set_ns(4000);
-  reg.spans().end(id);
-  reg.spans().record_complete("window", "sim", 2000, 2500, 3, 7);
-
-  reg.budget().stamp(5, "admit", 1, 60, 2.25, 8.0);
+  {
+    ScopedSpan phase(SpanSite(reg, "test.phase"), 1, 9);
+    clock.set_ns(4000);
+    SpanSite(reg, "sim.window").record_complete(2000, 2500, 3, 7);
+    record_admission(reg, clock.now_ns(), 5, BudgetOutcome::kAdmit, 1, 60,
+                     2.25);
+  }
 }
 
 TEST(Exporters, PrometheusGolden) {
@@ -323,7 +405,7 @@ TEST(Exporters, JsonSnapshotGolden) {
             "  \"budget_timeline\": [\n"
             "    {\"seq\": 0, \"t_ns\": 4000, \"tenant\": 5, \"outcome\": "
             "\"admit\", \"granularity\": 1, \"releases\": 60, "
-            "\"epsilon_after\": 2.25, \"epsilon_cap\": 8}\n"
+            "\"epsilon_after\": 2.25}\n"
             "  ]\n"
             "}\n");
 }
@@ -333,18 +415,18 @@ TEST(Exporters, TraceJsonGolden) {
   Registry reg(&clock);
   populate_golden(reg, clock);
   std::ostringstream os;
-  write_trace_json(reg, os);
+  write_trace_json(reg.recorder().snapshot(), os);
   EXPECT_EQ(os.str(),
             "{\"traceEvents\": [\n"
-            "  {\"name\": \"phase\", \"cat\": \"test\", \"ph\": \"X\", "
+            "  {\"name\": \"test.phase\", \"cat\": \"test\", \"ph\": \"X\", "
             "\"ts\": 1, \"dur\": 3, \"pid\": 1, \"tid\": 1, \"args\": "
             "{\"id\": 1, \"parent\": 0, \"arg\": 9}},\n"
-            "  {\"name\": \"window\", \"cat\": \"sim\", \"ph\": \"X\", "
+            "  {\"name\": \"sim.window\", \"cat\": \"sim\", \"ph\": \"X\", "
             "\"ts\": 2, \"dur\": 0.5, \"pid\": 1, \"tid\": 3, \"args\": "
             "{\"id\": 2, \"parent\": 0, \"arg\": 7}},\n"
             "  {\"name\": \"epsilon tenant 5\", \"cat\": \"budget\", "
             "\"ph\": \"C\", \"ts\": 4, \"pid\": 1, \"tid\": 0, \"args\": "
-            "{\"epsilon\": 2.25, \"remaining\": 5.75}}\n"
+            "{\"epsilon\": 2.25}}\n"
             "], \"displayTimeUnit\": \"ms\"}\n");
 }
 
@@ -356,7 +438,7 @@ TEST(Exporters, GoldenOutputIsByteStableAcrossRuns) {
     std::ostringstream prom, snap, trace;
     write_prometheus(reg.metrics().snapshot(), prom);
     write_json_snapshot(reg, snap);
-    write_trace_json(reg, trace);
+    write_trace_json(reg.recorder().snapshot(), trace);
     return prom.str() + snap.str() + trace.str();
   };
   EXPECT_EQ(render(), render());
@@ -382,7 +464,19 @@ TEST(JsonReader, RoundTripsASnapshot) {
   const JsonValue& timeline = doc.at("budget_timeline");
   ASSERT_EQ(timeline.array.size(), 1u);
   EXPECT_EQ(timeline.array[0].at("outcome").string, "admit");
-  EXPECT_DOUBLE_EQ(timeline.array[0].at("epsilon_cap").number, 8.0);
+  EXPECT_DOUBLE_EQ(timeline.array[0].at("epsilon_after").number, 2.25);
+}
+
+TEST(JsonReader, NonFiniteGaugesRoundTripAsNull) {
+  Registry reg;
+  reg.metrics().gauge("aegis_eta").set(
+      std::numeric_limits<double>::infinity());
+  reg.metrics().gauge("aegis_depth").set(1.5);
+  std::ostringstream os;
+  write_json_snapshot(reg, os);
+  const JsonValue doc = parse_json(os.str());  // threw on a bare `inf`
+  EXPECT_TRUE(doc.at("gauges").at("aegis_eta").is_null());
+  EXPECT_DOUBLE_EQ(doc.at("gauges").at("aegis_depth").number, 1.5);
 }
 
 TEST(JsonReader, MissingKeyYieldsSharedNull) {
@@ -429,15 +523,26 @@ TEST(Registry, SetTimeSourceRewiresSpansAndBudget) {
   ManualTimeSource manual;
   manual.set_ns(777);
   reg.set_time_source(&manual);
-  const std::uint64_t id = reg.spans().begin("s", "t");
-  reg.spans().end(id);
-  reg.budget().stamp(1, "admit", 1, 1, 0.5, 8.0);
-  const auto spans = reg.spans().completed();
+  { ScopedSpan span(SpanSite(reg, "test.s")); }
+  const auto spans = drained_spans(reg);
   ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].begin_ns, 777u);
-  const auto events = reg.budget().events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].t_ns, 777u);
+  EXPECT_EQ(spans[0].span.begin_ns, 777u);
+  // The governor stamps its decisions from the same source.
+  service::BudgetGovernor governor([&] {
+    service::GovernorConfig config;
+    config.telemetry = &reg;
+    return config;
+  }());
+  governor.request_window(1, 1, 0.5);
+  std::size_t admissions = 0;
+  for (const DrainedEvent& e : reg.recorder().drain()) {
+    if (e.type != static_cast<std::uint16_t>(WideEventType::kAdmission)) {
+      continue;
+    }
+    ++admissions;
+    EXPECT_EQ(e.t_ns, 777u);
+  }
+  EXPECT_EQ(admissions, 1u);
 }
 
 }  // namespace

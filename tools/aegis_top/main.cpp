@@ -4,7 +4,8 @@
 // `bench_service --stats FILE` or any daemon embedding the registry) and
 // renders the service at a glance: session counters, queue depth, template
 // cache effectiveness, and a per-tenant privacy-budget table derived from
-// the ε-spend timeline.
+// the ε decisions in the snapshot's budget_timeline (the flight recorder's
+// kAdmission events) and the governor's remaining-ε gauges.
 //
 //   aegis_top SNAPSHOT.json             render once
 //   aegis_top SNAPSHOT.json --watch N   re-read and re-render every N seconds
@@ -44,7 +45,7 @@ struct TenantRow {
   std::uint64_t degraded = 0;
   std::uint64_t refused = 0;
   double epsilon_after = 0.0;
-  double epsilon_cap = 0.0;
+  double epsilon_remaining = 0.0;
   std::string last_outcome;
 };
 
@@ -58,6 +59,7 @@ double gauge(const JsonValue& snap, const char* name) {
 
 /// Folds the ε timeline into one row per tenant: outcome tallies plus the
 /// budget position after the latest event (events arrive in seq order).
+/// The remaining budget is the governor's per-tenant gauge.
 std::map<std::uint64_t, TenantRow> tenant_rows(const JsonValue& snap) {
   std::map<std::uint64_t, TenantRow> rows;
   for (const JsonValue& e : snap.at("budget_timeline").array) {
@@ -69,8 +71,12 @@ std::map<std::uint64_t, TenantRow> tenant_rows(const JsonValue& snap) {
     if (outcome == "degrade") ++row.degraded;
     if (outcome == "refuse") ++row.refused;
     row.epsilon_after = e.at("epsilon_after").number;
-    row.epsilon_cap = e.at("epsilon_cap").number;
     row.last_outcome = outcome;
+  }
+  for (auto& [id, row] : rows) {
+    const std::string name =
+        "aegis_tenant_epsilon_remaining{tenant=\"" + std::to_string(id) + "\"}";
+    row.epsilon_remaining = gauge(snap, name.c_str());
   }
   return rows;
 }
@@ -125,7 +131,7 @@ void render(const JsonValue& snap, std::ostream& os) {
                   "%6" PRIu64 "   %5" PRIu64 "  %7" PRIu64 "  %6" PRIu64
                   "   %9.4f    %13.4f  %s\n",
                   id, row.admitted, row.degraded, row.refused,
-                  row.epsilon_after, row.epsilon_cap - row.epsilon_after,
+                  row.epsilon_after, row.epsilon_remaining,
                   row.last_outcome.c_str());
     os << line;
   }
@@ -175,7 +181,7 @@ int render_recorder(const std::string& path, std::size_t tail,
       std::cerr << "aegis_top: cannot write " << trace_out << "\n";
       return 1;
     }
-    aegis::telemetry::write_recorder_trace_json(*doc, os);
+    aegis::telemetry::write_trace_json(*doc, os);
     std::cout << "aegis_top: wrote chrome://tracing file " << trace_out << " ("
               << doc->events.size() << " events)\n";
     return 0;
