@@ -153,7 +153,6 @@ SweepPoint run_fleet_size(const Scenario& scenario, std::size_t tenants,
   service::ServiceConfig config;
   config.num_threads = threads_from_env();
   config.queue_capacity = 64;
-  config.batch_size = 16;
   config.governor.default_epsilon_cap = 64.0;  // ample: nothing refused
   config.cache.cache_dir = scenario.cache_dir;
   config.telemetry = registry;

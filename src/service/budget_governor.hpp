@@ -15,7 +15,7 @@
 // records the releases at decision time), so concurrent sessions of one
 // tenant can never jointly overshoot the cap. Decisions for a given
 // request sequence are deterministic: the governor is driven in submission
-// order by the SessionManager, never from worker threads.
+// order by ProtectionService::submit(), never from worker threads.
 #pragma once
 
 #include <cstdint>

@@ -39,15 +39,31 @@ ProtectionService::ProtectionService(ServiceConfig config)
       attack_monitor_(config.attack_monitor, telemetry_),
       cache_(with_telemetry(config.cache, telemetry_)),
       governor_(with_telemetry(config.governor, telemetry_, &forecaster_)),
-      manager_(config.num_threads, governor_, telemetry_),
-      queue_(std::max<std::size_t>(1, config.queue_capacity)),
       submitted_(
           telemetry_->metrics().counter("aegis_sessions_submitted_total")),
+      started_(telemetry_->metrics().counter("aegis_sessions_started_total")),
+      completed_(
+          telemetry_->metrics().counter("aegis_sessions_completed_total")),
+      failed_(telemetry_->metrics().counter("aegis_sessions_failed_total")),
+      refused_(telemetry_->metrics().counter("aegis_sessions_refused_total")),
+      degraded_(telemetry_->metrics().counter("aegis_sessions_degraded_total")),
+      active_(telemetry_->metrics().gauge("aegis_sessions_active")),
       queue_depth_(telemetry_->metrics().gauge("aegis_service_queue_depth")),
+      failed_event_(telemetry_->recorder().event_handle(
+          "session.failed", telemetry::WideEventType::kAlert)),
       register_span_(*telemetry_, "service.register_template"),
-      dispatch_span_(*telemetry_, "service.dispatch") {
-  manager_.set_attack_monitor(&attack_monitor_);
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+      session_span_(*telemetry_, "fleet.session") {
+  std::size_t workers = config.num_threads;
+  if (workers == 0) workers = std::max(1U, std::thread::hardware_concurrency());
+  workers_.reserve(workers);
+  try {
+    for (std::size_t w = 0; w < workers; ++w) {
+      workers_.emplace_back([this, w] { work(static_cast<std::uint32_t>(w)); });
+    }
+  } catch (...) {
+    shutdown();  // join the workers already started
+    throw;
+  }
 }
 
 ProtectionService::~ProtectionService() { shutdown(); }
@@ -103,7 +119,7 @@ void ProtectionService::set_tenant_cap(std::uint64_t tenant_id,
 
 bool ProtectionService::submit(SessionSubmission submission) {
   // Reject here, on the caller's thread: a malformed request reaching a
-  // pool worker would take every tenant's sessions down with it.
+  // worker would fail there instead of telling its caller.
   const SessionRequest& request = submission.request;
   if (request.application == nullptr) {
     throw std::invalid_argument(
@@ -117,86 +133,139 @@ bool ProtectionService::submit(SessionSubmission submission) {
     throw std::invalid_argument(
         "ProtectionService: per_slice_epsilon must be finite and >= 0");
   }
+  auto session = std::make_unique<Session>();
+  session->request = request;
+  // aegis-lint: clock-ok(reporting-only: latency_seconds)
+  session->submitted = std::chrono::steady_clock::now();
   {
-    std::lock_guard lock(mu_);
-    if (stopped_) return false;
+    std::unique_lock lock(mu_);
     if (submission.template_id >= templates_.size()) {
       throw std::out_of_range("ProtectionService: unknown template id");
     }
-    ++pending_;
+    const std::size_t capacity =
+        std::max<std::size_t>(1, config_.queue_capacity);
+    idle_cv_.wait(lock, [&] { return stopped_ || in_flight_ < capacity; });
+    if (stopped_) return false;
+    session->tpl = templates_[submission.template_id].get();
+    ++in_flight_;  // from here on, the workers wait for this session
+    queue_depth_.set(static_cast<double>(in_flight_));
   }
-  TimedSubmission timed{std::move(submission),
-                        // aegis-lint: clock-ok(reporting-only: latency_seconds)
-                        std::chrono::steady_clock::now()};
-  if (!queue_.push(std::move(timed))) {
-    std::lock_guard lock(mu_);
-    --pending_;
-    idle_cv_.notify_all();
-    return false;
-  }
-  // Counted only after the push succeeds: monotonic counters cannot be
-  // rolled back the way the old mu_-guarded tally could.
   submitted_.inc();
-  queue_depth_.set(static_cast<double>(queue_.size()));
+
+  // Admission, serial: governor and attack-monitor state is shared, so the
+  // decision order is the submission order, never the execution order.
+  std::lock_guard admission(admission_mu_);
+  const AdmissionDecision decision = governor_.request_window(
+      request.tenant_id, request.slices, request.per_slice_epsilon);
+  SessionResult& result = session->done.result;
+  result.tenant_id = request.tenant_id;
+  result.outcome = decision.outcome;
+  result.granularity = decision.granularity;
+  result.epsilon_after = decision.epsilon_after;
+  const bool refused = decision.outcome == Admission::kRefuse;
+  if (refused) {
+    refused_.inc();
+  } else {
+    if (decision.outcome == Admission::kDegrade) degraded_.inc();
+    // The HostMonitor reads the template's monitored set exactly once per
+    // slice, i.e. perfectly periodically, with no single-stepping.
+    telemetry::SessionFeatures features;
+    features.tenant_id = request.tenant_id;
+    features.monitored_events = session->tpl->monitored_events;
+    features.read_gap_cv = 0.0;
+    features.stepped_fraction = 0.0;
+    features.slices = request.slices;
+    attack_monitor_.ingest(features);
+  }
+
+  std::lock_guard lock(mu_);
+  Session& admitted = *session;
+  unreleased_[request.tenant_id].push_back(std::move(session));
+  if (refused) {
+    finish(admitted);  // nothing to run
+  } else {
+    runnable_.push_back(&admitted);
+    work_cv_.notify_one();
+  }
   return true;
 }
 
-void ProtectionService::dispatch_loop() {
+void ProtectionService::work(std::uint32_t worker) {
   for (;;) {
-    auto batch = queue_.pop_batch(std::max<std::size_t>(1, config_.batch_size));
-    if (batch.empty()) return;  // closed and drained
-    queue_depth_.set(static_cast<double>(queue_.size()));
-    telemetry::ScopedSpan batch_span(dispatch_span_, 0,
-                                     static_cast<std::uint32_t>(batch.size()));
+    Session* session = nullptr;
+    {
+      std::unique_lock lock(mu_);
+      work_cv_.wait(lock, [&] {
+        return !runnable_.empty() || (stopped_ && in_flight_ == 0);
+      });
+      if (runnable_.empty()) return;  // stopped, and every session released
+      session = runnable_.front();
+      runnable_.pop_front();
+    }
+    execute(*session, worker);
+    std::lock_guard lock(mu_);
+    finish(*session);
+  }
+}
 
-    // A batch may mix templates; group contiguously by template id so each
-    // fleet call shares one ProtectionTemplate.
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const TimedSubmission& a, const TimedSubmission& b) {
-                       return a.submission.template_id <
-                              b.submission.template_id;
-                     });
-    std::size_t begin = 0;
-    while (begin < batch.size()) {
-      std::size_t end = begin + 1;
-      while (end < batch.size() && batch[end].submission.template_id ==
-                                       batch[begin].submission.template_id) {
-        ++end;
-      }
-      const ProtectionTemplate* tpl = nullptr;
-      {
-        std::lock_guard lock(mu_);
-        tpl = templates_[batch[begin].submission.template_id].get();
-      }
-      std::vector<SessionRequest> requests;
-      requests.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        requests.push_back(batch[i].submission.request);
-      }
-      std::vector<SessionResult> results = manager_.run_fleet(*tpl, requests);
-      // aegis-lint: clock-ok(reporting-only: per-session latency_seconds)
-      const auto now = std::chrono::steady_clock::now();
-      {
-        std::lock_guard lock(mu_);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          CompletedSession done;
-          done.result = std::move(results[i]);
-          done.latency_seconds =
-              std::chrono::duration<double>(now - batch[begin + i].enqueued)
-                  .count();
-          completed_.push_back(std::move(done));
-        }
-        pending_ -= end - begin;
-      }
-      idle_cv_.notify_all();
-      begin = end;
+void ProtectionService::execute(Session& session, std::uint32_t worker) {
+  const SessionRequest& request = session.request;
+  SessionResult& result = session.done.result;
+  const auto tenant = static_cast<std::uint32_t>(request.tenant_id);
+  started_.inc();
+  active_.add(1.0);
+  {
+    telemetry::ScopedSpan span(session_span_, worker, tenant);
+    // Fault isolation: a throwing session becomes a failed result. Its
+    // admission-time ε charge stays charged (epsilon_after states it).
+    try {
+      SessionResult ran = run_protected_session(*session.tpl, request,
+                                                result.granularity, telemetry_);
+      result.trace = std::move(ran.trace);
+      result.injected_repetitions = ran.injected_repetitions;
+    } catch (const std::exception& e) {
+      result.error = e.what();
+    } catch (...) {
+      result.error = "unknown exception";
     }
   }
+  active_.add(-1.0);
+  if (result.error.empty()) {
+    completed_.inc();
+    return;
+  }
+  failed_.inc();
+  failed_event_.record(
+      telemetry_->time_source().now_ns(),
+      static_cast<std::uint64_t>(telemetry::AlertKind::kSessionFailed),
+      /*b=*/0, request.seed, result.granularity, tenant);
+}
+
+void ProtectionService::finish(Session& session) {
+  session.finished = true;
+  // aegis-lint: clock-ok(reporting-only: latency_seconds)
+  const auto now = std::chrono::steady_clock::now();
+  session.done.latency_seconds =
+      std::chrono::duration<double>(now - session.submitted).count();
+  const auto it = unreleased_.find(session.request.tenant_id);
+  std::deque<std::unique_ptr<Session>>& queue = it->second;
+  std::size_t released = 0;
+  while (!queue.empty() && queue.front()->finished) {
+    released_.push_back(std::move(queue.front()->done));
+    queue.pop_front();  // may destroy `session`
+    ++released;
+  }
+  if (queue.empty()) unreleased_.erase(it);
+  if (released == 0) return;
+  in_flight_ -= released;
+  queue_depth_.set(static_cast<double>(in_flight_));
+  idle_cv_.notify_all();
+  if (stopped_ && in_flight_ == 0) work_cv_.notify_all();
 }
 
 void ProtectionService::drain() {
   std::unique_lock lock(mu_);
-  idle_cv_.wait(lock, [&] { return pending_ == 0; });
+  idle_cv_.wait(lock, [&] { return in_flight_ == 0; });
 }
 
 void ProtectionService::shutdown() {
@@ -205,8 +274,9 @@ void ProtectionService::shutdown() {
     if (stopped_) return;
     stopped_ = true;
   }
-  queue_.close();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  idle_cv_.notify_all();  // blocked submitters return false
+  work_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
   if (!config_.shutdown_dump_path.empty()) {
     // Post-drain flight-recorder snapshot: every worker has finished, so
     // the merged dump holds the complete, deterministic event history of
@@ -222,21 +292,22 @@ ServiceStats ProtectionService::stats() const {
   ServiceStats stats;
   stats.cache = cache_.stats();
   stats.tenants = governor_.all_usage();
-  stats.sessions_started = manager_.started();
-  stats.sessions_active = manager_.active();
-  stats.sessions_completed = manager_.completed();
-  stats.sessions_refused = manager_.refused();
-  stats.sessions_degraded = manager_.degraded();
-  stats.queue_depth = queue_.size();
   stats.sessions_submitted = submitted_.value();
-  queue_depth_.set(static_cast<double>(stats.queue_depth));
+  stats.sessions_started = started_.value();
+  stats.sessions_active = static_cast<std::size_t>(active_.value());
+  stats.sessions_completed = completed_.value();
+  stats.sessions_failed = failed_.value();
+  stats.sessions_refused = refused_.value();
+  stats.sessions_degraded = degraded_.value();
+  std::lock_guard lock(mu_);
+  stats.queue_depth = in_flight_;
   return stats;
 }
 
 std::vector<CompletedSession> ProtectionService::take_completed() {
   std::lock_guard lock(mu_);
-  std::vector<CompletedSession> out = std::move(completed_);
-  completed_.clear();
+  std::vector<CompletedSession> out = std::move(released_);
+  released_.clear();
   return out;
 }
 

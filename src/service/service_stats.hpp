@@ -52,12 +52,13 @@ struct TenantBudgetStats {
 
 struct ServiceStats {
   std::size_t sessions_submitted = 0;
-  std::size_t sessions_started = 0;    // dispatched onto the session pool
+  std::size_t sessions_started = 0;    // picked up by a worker
   std::size_t sessions_active = 0;     // currently executing
   std::size_t sessions_completed = 0;  // ran to the end of their window
+  std::size_t sessions_failed = 0;     // threw while executing
   std::size_t sessions_refused = 0;    // rejected by admission control
   std::size_t sessions_degraded = 0;   // ran at coarser granularity
-  std::size_t queue_depth = 0;         // submissions awaiting dispatch
+  std::size_t queue_depth = 0;         // accepted, not yet released
   TemplateCacheStats cache;
   std::vector<TenantBudgetStats> tenants;  // sorted by tenant_id
 };

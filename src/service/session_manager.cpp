@@ -1,6 +1,5 @@
 #include "service/session_manager.hpp"
 
-#include "telemetry/anomaly.hpp"
 #include "telemetry/registry.hpp"
 #include "util/rng.hpp"
 
@@ -52,17 +51,27 @@ SessionResult run_protected_session(const ProtectionTemplate& tpl,
 
   obf::ObfuscatorConfig config = tpl.obf_config;
   config.seed = util::split_mix64(request.seed, kObfuscatorStream);
+  const std::uint64_t vm_seed = util::split_mix64(request.seed, kVmStream);
+  const std::uint64_t monitor_seed =
+      util::split_mix64(request.seed, kMonitorStream);
   obf::EventObfuscator obfuscator(tpl.engine->database(),
                                   tpl.engine->specification(),
                                   tpl.analysis->cover, config);
   sim::SliceAgent agent = obf::coarsen_agent(obfuscator.session(), granularity);
   if (telemetry != nullptr) {
-    // Injection-window spans, stamped from the session's virtual clock (the
-    // slice index) rather than the TimeSource: each noise-refresh fire
-    // covers the granularity-wide window it protects. The wrapper draws no
-    // randomness, so traces stay bit-identical with telemetry attached.
-    const telemetry::SpanSite site(*telemetry, "inject.window");
+    // Everything below is stamped from the session's virtual clock (the
+    // slice index) rather than the TimeSource, and draws no randomness, so
+    // traces stay bit-identical with telemetry attached. First the
+    // RNG-stream checkpoint: the request seed plus the derived stream seeds
+    // this session consumes.
     const auto tenant = static_cast<std::uint32_t>(request.tenant_id);
+    telemetry->recorder()
+        .event_handle("session.rng", telemetry::WideEventType::kRngCheckpoint)
+        .record(/*t_ns=*/0, request.seed, vm_seed, monitor_seed, config.seed,
+                tenant);
+    // Then one injection-window span per noise-refresh fire, covering the
+    // granularity-wide window it protects.
+    const telemetry::SpanSite site(*telemetry, "inject.window");
     const std::size_t window = granularity == 0 ? 1 : granularity;
     agent = [inner = std::move(agent), site, tenant,
              window](sim::VirtualMachine& vm, std::size_t t) {
@@ -74,111 +83,13 @@ SessionResult run_protected_session(const ProtectionTemplate& tpl,
     };
   }
 
-  sim::VirtualMachine vm(tpl.vm, util::split_mix64(request.seed, kVmStream));
-  sim::HostMonitor monitor(tpl.engine->database(),
-                           util::split_mix64(request.seed, kMonitorStream));
+  sim::VirtualMachine vm(tpl.vm, vm_seed);
+  sim::HostMonitor monitor(tpl.engine->database(), monitor_seed);
   result.trace = monitor.monitor(
       vm, request.application->visit(util::split_mix64(request.seed, kVisitStream)),
       tpl.monitored_events, request.slices, agent);
   result.injected_repetitions = obfuscator.total_injected_repetitions();
   return result;
-}
-
-SessionManager::SessionManager(std::size_t num_threads,
-                               BudgetGovernor& governor,
-                               telemetry::Registry* telemetry)
-    : pool_(num_threads),
-      governor_(&governor),
-      owned_telemetry_(telemetry == nullptr
-                           ? std::make_unique<telemetry::Registry>()
-                           : nullptr),
-      telemetry_(telemetry != nullptr ? telemetry : owned_telemetry_.get()),
-      started_(telemetry_->metrics().counter("aegis_sessions_started_total")),
-      completed_(
-          telemetry_->metrics().counter("aegis_sessions_completed_total")),
-      refused_(telemetry_->metrics().counter("aegis_sessions_refused_total")),
-      degraded_(telemetry_->metrics().counter("aegis_sessions_degraded_total")),
-      active_(telemetry_->metrics().gauge("aegis_sessions_active")),
-      rng_event_(telemetry_->recorder().event_handle(
-          "session.rng", telemetry::WideEventType::kRngCheckpoint)),
-      admission_span_(*telemetry_, "fleet.admission"),
-      session_span_(*telemetry_, "fleet.session") {}
-
-SessionManager::~SessionManager() = default;
-
-std::vector<SessionResult> SessionManager::run_fleet(
-    const ProtectionTemplate& tpl,
-    const std::vector<SessionRequest>& requests) {
-  std::vector<SessionResult> results(requests.size());
-
-  // Phase 1 — admission, serial and in submission order: governor state is
-  // shared per tenant, so decision order must not depend on scheduling.
-  std::vector<std::size_t> granted(requests.size(), 0);
-  {
-    telemetry::ScopedSpan admission(
-        admission_span_, 0, static_cast<std::uint32_t>(requests.size()));
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const SessionRequest& request = requests[i];
-      const AdmissionDecision decision = governor_->request_window(
-          request.tenant_id, request.slices, request.per_slice_epsilon);
-      results[i].tenant_id = request.tenant_id;
-      results[i].outcome = decision.outcome;
-      results[i].granularity = decision.granularity;
-      results[i].epsilon_after = decision.epsilon_after;
-      if (decision.outcome == Admission::kRefuse) {
-        refused_.inc();
-      } else {
-        granted[i] = decision.granularity;
-        if (decision.outcome == Admission::kDegrade) degraded_.inc();
-      }
-    }
-  }
-
-  // Phase 2 — execution, parallel: each admitted session writes only its
-  // own index-keyed slot and derives all randomness from its request seed,
-  // so results are bit-identical at every worker count.
-  pool_.parallel_for(requests.size(), [&](std::size_t i) {
-    if (granted[i] == 0) return;  // refused
-    started_.inc();
-    active_.add(1.0);
-    telemetry::ScopedSpan span(
-        session_span_, static_cast<std::uint32_t>(i),
-        static_cast<std::uint32_t>(requests[i].tenant_id));
-    // RNG-stream checkpoint: the request seed plus the derived stream seeds
-    // this session will consume, stamped with the request index. Wait-free
-    // and RNG-free, so the trace stays bit-identical.
-    rng_event_.record(
-        /*t_ns=*/i, requests[i].seed,
-        util::split_mix64(requests[i].seed, kVmStream),
-        util::split_mix64(requests[i].seed, kMonitorStream),
-        util::split_mix64(requests[i].seed, kObfuscatorStream),
-        static_cast<std::uint32_t>(requests[i].tenant_id));
-    const Admission outcome = results[i].outcome;
-    const double epsilon_after = results[i].epsilon_after;
-    results[i] = run_protected_session(tpl, requests[i], granted[i], telemetry_);
-    results[i].outcome = outcome;
-    results[i].epsilon_after = epsilon_after;
-    active_.add(-1.0);
-    completed_.inc();
-  });
-
-  // Phase 3 — attack scoring, serial and in submission order again (the
-  // monitor mutates shared gauge/alert state). The HostMonitor reads the
-  // template's monitored set exactly once per slice, i.e. perfectly
-  // periodically (read_gap_cv = 0), with no single-stepping.
-  if (attack_monitor_ != nullptr) {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (granted[i] == 0) continue;
-      telemetry::SessionFeatures features;
-      features.tenant_id = requests[i].tenant_id;
-      features.monitored_events = tpl.monitored_events;
-      features.read_gap_cv = 0.0;
-      features.stepped_fraction = 0.0;
-      features.slices = requests[i].slices;
-      attack_monitor_->ingest(features);
-    }
-  }
-  return results;
 }
 
 }  // namespace aegis::service

@@ -46,7 +46,7 @@ BudgetForecaster::BudgetForecaster(ForecasterConfig config, Registry* telemetry)
       "kBudgetExhaustionSoon alerts (forecast ETA fell inside the horizon)");
 }
 
-BudgetForecast BudgetForecaster::fit(const TenantSeries& series) const {
+BudgetForecast BudgetForecaster::extrapolate(const TenantSeries& series) const {
   BudgetForecast fc;
   fc.eta_ns = kInf;
   const std::size_t n = series.points.size();
@@ -104,7 +104,7 @@ void BudgetForecaster::ingest(const BudgetEvent& event) {
     }
     series.points.push_back(event);
     while (series.points.size() > config_.window) series.points.pop_front();
-    fc = fit(series);
+    fc = extrapolate(series);
     if (fc.valid) {
       series.eta_gauge.set(fc.eta_ns);
       series.burn_gauge.set(fc.slope_eps_per_ns * 1e9);
@@ -126,7 +126,7 @@ BudgetForecast BudgetForecaster::forecast(std::uint64_t tenant_id) const {
   BudgetForecast fc;
   fc.eta_ns = kInf;
   if (it == tenants_.end()) return fc;
-  return fit(it->second);
+  return extrapolate(it->second);
 }
 
 AttackProbabilityMonitor::AttackProbabilityMonitor(AttackMonitorConfig config,

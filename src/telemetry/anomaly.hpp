@@ -37,6 +37,7 @@ class Registry;
 enum class AlertKind : std::uint64_t {
   kBudgetExhaustionSoon = 1,
   kAttackSuspected = 2,
+  kSessionFailed = 3,  // ProtectionService: c=request seed, d=granularity
 };
 
 /// One BudgetGovernor decision or budget reset, as the forecaster sees it.
@@ -109,8 +110,10 @@ class BudgetForecaster {
   };
 
   /// Caller holds mu_. Fits the window; returns an invalid forecast when
-  /// under min_points or the slope is non-positive.
-  BudgetForecast fit(const TenantSeries& series) const;
+  /// under min_points or the slope is non-positive. Not named `fit`: the
+  /// linter resolves calls by name, and the ML models' `fit` draws from
+  /// util::Rng, which would put those draws on the admission path.
+  BudgetForecast extrapolate(const TenantSeries& series) const;
 
   ForecasterConfig config_;
   Registry* telemetry_;
@@ -122,7 +125,7 @@ class BudgetForecaster {
 };
 
 /// Per-session counter-access features, computed by the caller (the
-/// SessionManager knows the template's monitored event set; the seceval
+/// ProtectionService knows the template's monitored event set; the seceval
 /// harness knows its attackers' stepping behaviour).
 struct SessionFeatures {
   std::uint64_t tenant_id = 0;
