@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical pieces:
-//   * Laplace sampling — the paper's noise calculator precomputes a buffer
-//     with the direct uniform->Laplace transform because per-draw library
-//     APIs are too slow for high injection rates (Section VII-C);
+//   * Laplace sampling — the paper's noise calculator draws with the direct
+//     uniform->Laplace transform because per-draw library APIs are too slow
+//     for high injection rates (Section VII-C);
 //   * gadget execution throughput in the fuzzing harness (Table III's
 //     generation+execution step dominates the fuzz);
 //   * VM slice execution and mechanism stepping.
@@ -23,16 +23,18 @@ using namespace aegis;
 
 namespace {
 
-void BM_LaplaceBufferedTransform(benchmark::State& state) {
+void BM_LaplaceInverseCdf(benchmark::State& state) {
+  // One on-demand draw through the noise calculator: the direct inverse-CDF
+  // transform of a single uniform.
   dp::MechanismConfig config;
   config.kind = dp::MechanismKind::kLaplace;
   config.epsilon = 1.0;
-  obf::NoiseCalculator calc(config, 4096);
+  obf::NoiseCalculator calc(config);
   for (auto _ : state) {
     benchmark::DoNotOptimize(calc.noise_for(0.0));
   }
 }
-BENCHMARK(BM_LaplaceBufferedTransform);
+BENCHMARK(BM_LaplaceInverseCdf);
 
 void BM_LaplaceStdLibraryApi(benchmark::State& state) {
   // The comparison point: composing std::exponential_distribution draws per
@@ -131,19 +133,6 @@ void BM_ParallelGenerationStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelGenerationStep)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-void BM_NoiseBufferRefill(benchmark::State& state) {
-  dp::MechanismConfig config;
-  config.kind = dp::MechanismKind::kLaplace;
-  config.epsilon = 1.0;
-  obf::NoiseCalculator calc(config, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        calc.precompute_batch(static_cast<std::size_t>(state.range(0))));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_NoiseBufferRefill)->Arg(256)->Arg(4096);
 
 }  // namespace
 

@@ -1,14 +1,15 @@
 // Noise calculator (paper Section VII-C, userspace daemon component).
 //
-// Computes the per-slice noise amount from the configured mechanism. To
-// support high injection rates, Laplace draws come from a precomputed ring
-// buffer refilled in batches with the direct uniform->Laplace inverse-CDF
-// transform — the paper notes that calling library APIs per draw is too
-// slow (see bench_micro_components for the comparison).
+// Computes the per-slice noise amount from the configured mechanism.
+// Laplace noise is drawn on demand, one value per call, with the direct
+// uniform->Laplace inverse-CDF transform — the paper notes that calling
+// library APIs per draw is too slow (see bench_micro_components for the
+// comparison). Draws are not buffered ahead: a session consumes only
+// slices x streams draws (600 for a 60-slice, 10-stream session), far fewer
+// than a batch refill per stream would draw.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "dp/mechanism.hpp"
 #include "util/rng.hpp"
@@ -17,8 +18,7 @@ namespace aegis::obf {
 
 class NoiseCalculator {
  public:
-  explicit NoiseCalculator(dp::MechanismConfig config,
-                           std::size_t buffer_size = 4096);
+  explicit NoiseCalculator(dp::MechanismConfig config);
 
   /// Normalized noise to inject at the next slice, given the normalized
   /// observation x_t of the protected series (x_t is ignored by mechanisms
@@ -30,18 +30,10 @@ class NoiseCalculator {
 
   const dp::MechanismConfig& config() const noexcept { return config_; }
 
-  /// Exposed for the micro-benchmarks: refills and drains the Laplace ring
-  /// buffer once, returning the batch.
-  std::vector<double> precompute_batch(std::size_t n);
-
  private:
-  double next_buffered_laplace();
-
   dp::MechanismConfig config_;
   std::unique_ptr<dp::NoiseMechanism> mechanism_;
   util::Rng rng_;
-  std::vector<double> buffer_;
-  std::size_t buffer_pos_ = 0;
 };
 
 }  // namespace aegis::obf

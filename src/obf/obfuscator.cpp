@@ -129,6 +129,7 @@ sim::SliceAgent EventObfuscator::session() {
   const std::size_t streams =
       config_.single_stream ? 1 : injectors->front()->gadget_count();
   auto calculators = std::make_shared<std::vector<NoiseCalculator>>();
+  calculators->reserve(streams);
   for (std::size_t g = 0; g < streams; ++g) {
     dp::MechanismConfig per_gadget = mech;
     per_gadget.seed = session_seeds_.next_u64();
@@ -139,9 +140,12 @@ sim::SliceAgent EventObfuscator::session() {
   const telemetry::EventHandle rotation_event = rotation_event_;
   const std::uint64_t session_ordinal = sessions_;
 
+  // `noise` holds one slice's per-gadget noise: one vector per session,
+  // reused by every slice rather than allocated per slice.
   return [calculators, controller, injectors, plan, total_reps, total_draws,
-          rotation_event,
-          session_ordinal](sim::VirtualMachine& vm, std::size_t t) {
+          rotation_event, session_ordinal,
+          noise = std::vector<double>(streams)](sim::VirtualMachine& vm,
+                                                std::size_t t) mutable {
     // Kernel module: RDPMC the protected series (previous slice) and send
     // it to the daemon over the netlink channel.
     controller->sample(vm);
@@ -161,7 +165,6 @@ sim::SliceAgent EventObfuscator::session() {
     if (calculators->size() == 1) {
       injector.inject(vm, (*calculators)[0].noise_for(x_t));
     } else {
-      std::vector<double> noise(calculators->size());
       for (std::size_t g = 0; g < noise.size(); ++g) {
         noise[g] = (*calculators)[g].noise_for(x_t);
       }

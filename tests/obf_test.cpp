@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "dp/accountant.hpp"
 #include "fuzzer/set_cover.hpp"
 #include "obf/injector.hpp"
@@ -47,12 +49,12 @@ struct Fixture {
   }
 };
 
-TEST(NoiseCalculator, BufferedLaplaceMatchesDistribution) {
+TEST(NoiseCalculator, LaplaceMatchesDistribution) {
   dp::MechanismConfig config;
   config.kind = dp::MechanismKind::kLaplace;
   config.epsilon = 0.5;
   config.seed = 1;
-  NoiseCalculator calc(config, 512);
+  NoiseCalculator calc(config);
   std::vector<double> noise;
   for (int i = 0; i < 50000; ++i) noise.push_back(calc.noise_for(0.0));
   EXPECT_NEAR(util::mean(noise), 0.0, 0.06);
@@ -60,14 +62,44 @@ TEST(NoiseCalculator, BufferedLaplaceMatchesDistribution) {
   EXPECT_NEAR(util::variance(noise), 8.0, 0.6);
 }
 
-TEST(NoiseCalculator, PrecomputeBatchSpansRefills) {
+TEST(NoiseCalculator, LaplaceStreamMatchesRngDrawForDraw) {
+  // The calculator's Laplace noise is exactly the util::Rng stream seeded
+  // with seed ^ 0xCA1C, in order. 5,000 draws cross 4,096, a typical batch
+  // size, so buffering that reorders or skips draws at a refill fails here.
+  dp::MechanismConfig config;
+  config.kind = dp::MechanismKind::kLaplace;
+  config.epsilon = 0.05;
+  config.sensitivity = 1.5;
+  config.seed = 0x5EEDULL;
+  NoiseCalculator calc(config);
+  util::Rng reference(config.seed ^ 0xCA1CULL);
+  const double scale = config.sensitivity / config.epsilon;
+  for (int i = 0; i < 5000; ++i) {
+    const double expected = reference.laplace(0.0, scale);
+    const double got = calc.noise_for(static_cast<double>(i));
+    ASSERT_EQ(std::memcmp(&expected, &got, sizeof got), 0) << "draw " << i;
+  }
+}
+
+TEST(NoiseCalculator, SuccessiveDrawsStayFreshPast4096Draws) {
   dp::MechanismConfig config;
   config.kind = dp::MechanismKind::kLaplace;
   config.epsilon = 1.0;
-  NoiseCalculator calc(config, 64);
-  const auto batch = calc.precompute_batch(200);  // forces several refills
-  EXPECT_EQ(batch.size(), 200u);
-  EXPECT_GT(util::stddev(batch), 0.5);
+  NoiseCalculator calc(config);
+  std::vector<double> draws;
+  for (int i = 0; i < 4200; ++i) draws.push_back(calc.noise_for(0.0));
+  // No draw repeats its predecessor, including 4,095 -> 4,096 where a
+  // 4,096-entry buffer would wrap.
+  for (std::size_t i = 1; i < draws.size(); ++i) {
+    ASSERT_NE(draws[i], draws[i - 1]) << "draw " << i;
+  }
+  // The draws past the boundary are new values, not a replay of the start.
+  const std::vector<double> tail(draws.begin() + 4096, draws.end());
+  const std::vector<double> head(draws.begin(),
+                                 draws.begin() + static_cast<std::ptrdiff_t>(tail.size()));
+  EXPECT_NE(head, tail);
+  EXPECT_GT(util::stddev(tail), 0.5);
+  EXPECT_GT(util::stddev(draws), 0.5);
 }
 
 TEST(NoiseCalculator, DStarUsesObservations) {

@@ -84,12 +84,17 @@ TEST(Robustness, SetCoverOfEmptyResultIsEmpty) {
   EXPECT_TRUE(cover.uncovered_events.empty());
 }
 
-TEST(Robustness, NoiseCalculatorWithZeroBufferSize) {
-  dp::MechanismConfig config;
-  config.kind = dp::MechanismKind::kLaplace;
-  config.epsilon = 1.0;
-  obf::NoiseCalculator calc(config, 0);  // clamped internally to 1
+TEST(Robustness, NoiseCalculatorDrawsStayFiniteAtTinyEpsilon) {
+  obf::NoiseCalculator defaults{dp::MechanismConfig{}};
   for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(std::isfinite(defaults.noise_for(0.0)));
+  }
+  // A vanishing budget gives a huge Laplace scale; the inverse-CDF clip
+  // keeps every draw finite.
+  dp::MechanismConfig tiny;
+  tiny.epsilon = 1e-12;
+  obf::NoiseCalculator calc(tiny);
+  for (int i = 0; i < 10000; ++i) {
     EXPECT_TRUE(std::isfinite(calc.noise_for(0.0)));
   }
 }
