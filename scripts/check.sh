@@ -31,7 +31,7 @@ elif [[ -n "${1:-}" ]]; then
 fi
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
-FAST_FILTER='ThreadPool|Parallel|Golden|Rng|SplitMix|Fuzzer|Confirmation|Profiler|Warmup|Cleanup|ProtectionService|SessionFleet|NoiseCalculator|Obfuscator|RotatingPlan'
+FAST_FILTER='ThreadPool|Parallel|Golden|Rng|SplitMix|Fuzzer|Confirmation|Profiler|Warmup|Cleanup|ProtectionService|SessionFleet|NoiseCalculator|Obfuscator|RotatingPlan|GadgetRunner|VirtualMachine|HostMonitor|Executor|SetCover|EngineEquivalence|HotPathAllocations'
 # Every ctest run executes with AEGIS_FR_DUMP armed so a crashing test
 # leaves behind a flight-recorder dump (<prefix>.<pid>.frd) with the last
 # wide events before the fault. On failure the dumps are listed so they can

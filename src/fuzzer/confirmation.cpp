@@ -6,25 +6,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "telemetry/registry.hpp"
 #include "util/stats.hpp"
 
 namespace aegis::fuzzer {
-
-namespace {
-
-/// Handle resolved outside the noalloc region (telemetry-handle rule): the
-/// by-name lookup allocates, so it happens once behind a function-local
-/// static; measure_path itself only bumps the lock-free counter.
-// aegis-lint: amortized-alloc(function-local static: the allocating by-name lookup runs once per process)
-const telemetry::Counter& path_measurements_counter() {
-  static const telemetry::Counter counter =
-      telemetry::Registry::global().metrics().counter(
-          "aegis_fuzzer_path_measurements_total");
-  return counter;
-}
-
-}  // namespace
 
 // aegis-lint: noalloc
 PathMeasurement measure_path(sim::GadgetRunner& runner, const Gadget& gadget,
@@ -34,7 +18,6 @@ PathMeasurement measure_path(sim::GadgetRunner& runner, const Gadget& gadget,
   // for every candidate gadget, and per-call vectors dominated its profile.
   // aegis-lint: alloc-ok(thread_local: constructed once per thread, reused)
   thread_local std::vector<double> deltas;
-  path_measurements_counter().inc();
   deltas.clear();
   // aegis-lint: alloc-ok(thread_local scratch; capacity retained across calls)
   deltas.reserve(params.repeats);

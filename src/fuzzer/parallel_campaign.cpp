@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <span>
-#include <stdexcept>
 
 #include "sim/gadget_runner.hpp"
 #include "telemetry/registry.hpp"
@@ -38,7 +37,9 @@ std::vector<std::uint32_t> ParallelCampaign::cleanup() const {
   pool_->parallel_for(shard_count, [&](std::size_t shard) {
     telemetry::ScopedSpan span(shard_site, static_cast<std::uint32_t>(shard));
     // Variants that fault (#UD / #GP) are excluded; the simulator faults
-    // exactly where the spec says real hardware would.
+    // exactly where the spec says real hardware would. The runner reports
+    // the fault as a status, and every variant that does not fault is
+    // test-executed.
     sim::GadgetRunner probe(*db_, *spec_,
                             util::split_mix64(config_->seed ^ kCleanupSalt, shard));
     probe.program({});
@@ -47,12 +48,9 @@ std::vector<std::uint32_t> ParallelCampaign::cleanup() const {
     kept[shard].reserve((hi - lo) / 4 + 1);
     for (std::size_t i = lo; i < hi; ++i) {
       const std::array<std::uint32_t, 1> seq = {variants[i].uid};
-      try {
-        (void)probe.execute_once(seq, 1.0);
-        kept[shard].push_back(variants[i].uid);
-      } catch (const std::invalid_argument&) {
-        // faulted: excluded from the cleaned list
-      }
+      if (probe.faulting_variant(seq) != nullptr) continue;
+      (void)probe.execute_once(seq, 1.0);
+      kept[shard].push_back(variants[i].uid);
     }
   });
 
@@ -135,6 +133,11 @@ std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
   params.trigger_unroll = config_->trigger_unroll;
   params.delta_threshold = config_->delta_threshold;
 
+  // Each shard adds its path measurements (two per confirm_gadget: cold
+  // and hot) once, when it finishes, instead of once per measure_path.
+  const telemetry::Counter path_measurements =
+      telemetry::Registry::global().metrics().counter(
+          "aegis_fuzzer_path_measurements_total");
   telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
   const telemetry::SpanSite shard_site(tel, "fuzz.confirm.shard");
   telemetry::ScopedSpan stage(telemetry::SpanSite(tel, "fuzz.confirm"), 0,
@@ -178,6 +181,7 @@ std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
       }
       stable[e].push_back(g);
     }
+    path_measurements.inc(2 * (candidates[e].size() + confirmed.size()));
   });
   return stable;
 }

@@ -32,6 +32,8 @@ class NoiseCalculator {
 
  private:
   dp::MechanismConfig config_;
+  /// The mechanism noise_for delegates to; null for Laplace, which
+  /// noise_for draws itself.
   std::unique_ptr<dp::NoiseMechanism> mechanism_;
   util::Rng rng_;
 };

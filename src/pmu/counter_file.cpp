@@ -54,6 +54,10 @@ CounterRegisterFile::CounterRegisterFile(const EventDatabase& db,
   resolve_dispatch();
 }
 
+CounterRegisterFile::~CounterRegisterFile() {
+  accumulate_calls_.inc(accumulate_count_);
+}
+
 void CounterRegisterFile::resolve_dispatch() noexcept {
   resolved_isa_ = resolve_isa(engine_);
   group_kernel_ = resolved_isa_ == simd::SimdIsa::kScalar
@@ -118,7 +122,7 @@ std::size_t CounterRegisterFile::slot_of(std::uint32_t event_id) const {
 
 // aegis-lint: noalloc
 void CounterRegisterFile::accumulate(const ExecutionStats& stats) {
-  accumulate_calls_.inc();
+  ++accumulate_count_;
   if (engine_ == AccumulateEngine::kReference) {
     accumulate_reference(stats);
   } else {
@@ -267,9 +271,13 @@ double CounterRegisterFile::read_raw(std::uint32_t event_id) const {
 
 std::vector<double> CounterRegisterFile::read_all() const {
   std::vector<double> out;
-  out.reserve(slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) out.push_back(read_slot(i));
+  read_all(out);
   return out;
+}
+
+void CounterRegisterFile::read_all(std::vector<double>& out) const {
+  out.resize(slots_.size());
+  for (std::size_t i = 0; i < slots_.size(); ++i) out[i] = read_slot(i);
 }
 
 }  // namespace aegis::pmu

@@ -52,6 +52,11 @@ enum class AccumulateEngine : unsigned char {
 class CounterRegisterFile {
  public:
   CounterRegisterFile(const EventDatabase& db, std::uint64_t noise_seed);
+  /// Adds this file's accumulate calls to aegis_pmu_accumulate_total: the
+  /// counter is bumped once per register file, not once per call.
+  ~CounterRegisterFile();
+  CounterRegisterFile(const CounterRegisterFile&) = delete;
+  CounterRegisterFile& operator=(const CounterRegisterFile&) = delete;
 
   /// Programs the set of monitored events and zeroes all counts. More than
   /// EventDatabase::kNumCounters ids enables multiplexing. Also resolves
@@ -89,6 +94,9 @@ class CounterRegisterFile {
   }
 
   std::vector<double> read_all() const;
+  /// read_all into `out`, reusing its storage (a per-slice sampler reads
+  /// every slice without allocating once `out` has grown).
+  void read_all(std::vector<double>& out) const;
 
   bool multiplexed() const noexcept {
     return slots_.size() > EventDatabase::kNumCounters;
@@ -154,9 +162,11 @@ class CounterRegisterFile {
   /// means the dense scalar path.
   simd::ExpectedGroupFn group_kernel_ = nullptr;
   simd::SimdIsa resolved_isa_ = simd::SimdIsa::kScalar;
-  /// Resolved once at construction (telemetry-handle rule): recording in the
-  /// noalloc accumulate path is a lock-free shard increment.
+  /// Resolved once at construction (telemetry-handle rule); the destructor
+  /// adds accumulate_count_ to it in one step, so the noalloc accumulate
+  /// path only bumps a plain member.
   telemetry::Counter accumulate_calls_;
+  std::uint64_t accumulate_count_ = 0;
   /// Last-resolved ISA, exported so aegis_top/CI logs show which kernel
   /// actually runs (0 scalar, 1 avx2, 2 avx512).
   telemetry::Gauge engine_isa_gauge_;

@@ -73,24 +73,33 @@ CompiledBlock compile_block(const InstructionBlock& block,
   return cb;
 }
 
-// aegis-lint: noalloc
-pmu::ExecutionStats execute_compiled(const CompiledBlock& compiled,
-                                     MicroArchState& uarch,
-                                     const CostModel& cost) {
-  pmu::ExecutionStats s = compiled.base;
+StateStep step_state(const CompiledBlock& compiled, MicroArchState& uarch) {
+  StateStep step;
   if (compiled.touched > 0.0) {
     const MemoryAccessResult misses = uarch.access(
         compiled.block.region, compiled.touched, compiled.block.locality);
-    s.l1_misses = misses.l1_misses;
-    s.llc_misses = misses.llc_misses;
+    step.l1_misses = misses.l1_misses;
+    step.llc_misses = misses.llc_misses;
   }
   if (compiled.block.flush_all) {
     uarch.flush_all();
   } else if (compiled.block.flush_bytes > 0.0) {
     uarch.flush(compiled.block.region, compiled.block.flush_bytes);
   }
-  s.branch_mispredicts = uarch.run_branches(
+  step.branch_mispredicts = uarch.run_branches(
       compiled.block.region, compiled.branches, compiled.block.branch_entropy);
+  return step;
+}
+
+// aegis-lint: noalloc
+pmu::ExecutionStats execute_compiled(const CompiledBlock& compiled,
+                                     MicroArchState& uarch,
+                                     const CostModel& cost) {
+  pmu::ExecutionStats s = compiled.base;
+  const StateStep step = step_state(compiled, uarch);
+  s.l1_misses = step.l1_misses;
+  s.llc_misses = step.llc_misses;
+  s.branch_mispredicts = step.branch_mispredicts;
 
   // The additions run in execute_block's exact order; only the
   // state-independent products/quotient were hoisted to compile_block.

@@ -10,6 +10,9 @@
 //     fixed cycle products) into a CompiledBlock once, so the per-call
 //     work shrinks to the cache/branch-state interaction. GadgetRunner's
 //     superblocks are sequences of CompiledBlocks.
+// step_state is that interaction alone: execute_compiled is step_state plus
+// the stats record, and a block whose record nobody reads (the fuzzing
+// harness's prolog/epilog) runs step_state only.
 // execute_compiled is bit-identical to execute_block on the same state:
 // the precomputed values are the identical IEEE-754 results of the
 // identical expressions, and the remaining additions run in the identical
@@ -57,6 +60,21 @@ struct CompiledBlock {
 /// here must be the one later passed to execute_compiled.
 CompiledBlock compile_block(const InstructionBlock& block,
                             const CostModel& cost = CostModel{});
+
+/// What a block's execution did to the micro-architectural state's
+/// observable side: the cache misses of its access and the mispredicts of
+/// its branches.
+struct StateStep {
+  double l1_misses = 0.0;
+  double llc_misses = 0.0;
+  double branch_mispredicts = 0.0;
+};
+
+/// Advances `uarch` by one execution of `compiled` — the cache access, then
+/// the flush, then the branch run — and returns the miss and mispredict
+/// counts. Leaves `uarch` exactly as execute_compiled on the same block
+/// would.
+StateStep step_state(const CompiledBlock& compiled, MicroArchState& uarch);
 
 /// Executes a compiled block; bit-identical to
 /// execute_block(compiled.block, uarch, cost) for the cost model the block

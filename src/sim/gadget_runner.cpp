@@ -41,7 +41,8 @@ InstructionBlock make_epilog() {
 }
 
 // The prolog/epilog never change between executions; compiled once, their
-// state-independent terms never recompute.
+// state-independent terms never recompute. They run outside the measured
+// window, so execute_once only steps the machine state through them.
 const CompiledBlock kProlog = compile_block(make_prolog());
 const CompiledBlock kEpilog = compile_block(make_epilog());
 
@@ -66,6 +67,17 @@ GadgetRunner::GadgetRunner(const pmu::EventDatabase& db,
   config_.interrupt_rate = 0.002;
 }
 
+GadgetRunner::~GadgetRunner() { executions_.inc(exec_count_); }
+
+const isa::InstructionVariant* GadgetRunner::faulting_variant(
+    std::span<const std::uint32_t> variant_uids) const {
+  for (std::uint32_t uid : variant_uids) {
+    const isa::InstructionVariant& v = spec_->by_uid(uid);
+    if (!v.legal()) return &v;
+  }
+  return nullptr;
+}
+
 void GadgetRunner::program(std::vector<std::uint32_t> event_ids) {
   if (event_ids.size() > pmu::EventDatabase::kNumCounters) {
     throw std::invalid_argument(
@@ -81,19 +93,19 @@ void GadgetRunner::program(std::vector<std::uint32_t> event_ids) {
 }
 
 // aegis-lint: amortized-alloc(runs only for a first-seen (uids, unroll) key; steady-state execute_once hits the MRU pair or the hash probe)
-void GadgetRunner::rebuild(Superblock& sb,
-                           std::span<const std::uint32_t> variant_uids,
-                           double unroll) {
-  // Validate the whole sequence before touching the cache entry: a
-  // sequence with an illegal variant must throw on every call and leave no
-  // partially-built superblock behind.
-  for (std::uint32_t uid : variant_uids) {
-    const isa::InstructionVariant& v = spec_->by_uid(uid);
-    if (!v.legal()) {
-      throw std::invalid_argument("GadgetRunner: illegal variant " +
-                                  v.mnemonic);
-    }
+GadgetRunner::Superblock& GadgetRunner::rebuild(
+    std::uint64_t key, std::span<const std::uint32_t> variant_uids,
+    double unroll) {
+  // Validate the whole sequence before touching the cache: a sequence with
+  // an illegal variant must throw on every call and leave no entry behind.
+  if (const isa::InstructionVariant* bad = faulting_variant(variant_uids)) {
+    throw std::invalid_argument("GadgetRunner: illegal variant " +
+                                bad->mnemonic);
   }
+  // References into an unordered_map survive rehashing, so the MRU
+  // pointers and arena-backed block pointers both stay valid as the cache
+  // grows.
+  Superblock& sb = superblocks_[key];
   sb.uids.assign(variant_uids.begin(), variant_uids.end());
   sb.unroll = unroll;
   while (sb.blocks.size() < variant_uids.size()) {
@@ -104,6 +116,7 @@ void GadgetRunner::rebuild(Superblock& sb,
     *sb.blocks[i] = compile_block(InstructionBlock::from_variant(
         spec_->by_uid(variant_uids[i]), unroll, kGadgetDataRegion));
   }
+  return sb;
 }
 
 const GadgetRunner::Superblock& GadgetRunner::superblock(
@@ -120,13 +133,10 @@ const GadgetRunner::Superblock& GadgetRunner::superblock(
   const std::uint64_t key =
       util::fnv1a(variant_uids.data(), variant_uids.size_bytes());
   const auto it = superblocks_.find(key);
-  // Pointers/references into an unordered_map survive rehashing, so the
-  // MRU pointers and arena-backed block pointers both stay valid as the
-  // cache grows.
-  Superblock& sb = it != superblocks_.end() ? it->second : superblocks_[key];
-  if (!same_sequence(sb.uids, variant_uids) || sb.unroll != unroll) {
-    rebuild(sb, variant_uids, unroll);
-  }
+  Superblock& sb = it != superblocks_.end() && it->second.unroll == unroll &&
+                           same_sequence(it->second.uids, variant_uids)
+                       ? it->second
+                       : rebuild(key, variant_uids, unroll);
   mru1_ = mru0_;
   mru0_ = &sb;
   return sb;
@@ -139,7 +149,6 @@ std::span<const double> GadgetRunner::execute_once(
   // Cache hits resolve via the MRU compare / hash probe with zero
   // allocation; only a first-seen (uids, unroll) builds.
   const Superblock& sb = superblock(variant_uids, unroll);
-  executions_.inc();
   // Sampled flight-recorder record point (1-in-8): one branch on the fast
   // iterations, a wait-free ring write on the sampled ones, stamped with a
   // local ordinal rather than a shared clock.
@@ -148,7 +157,7 @@ std::span<const double> GadgetRunner::execute_once(
                        static_cast<std::uint64_t>(unroll));
   }
   // Prolog runs before the first RDPMC.
-  (void)execute_compiled(kProlog, uarch_);
+  (void)step_state(kProlog, uarch_);
 
   const std::size_t n = counters_.programmed().size();
   for (std::size_t i = 0; i < n; ++i) {
@@ -172,7 +181,7 @@ std::span<const double> GadgetRunner::execute_once(
     delta_[i] = counters_.read_raw_slot(slot_idx_[i]) - before_[i];
   }
 
-  (void)execute_compiled(kEpilog, uarch_);
+  (void)step_state(kEpilog, uarch_);
   return std::span<const double>(delta_.data(), n);
 }
 

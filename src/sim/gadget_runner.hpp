@@ -16,7 +16,9 @@
 // superblocks: a whole (reset sequence, trigger sequence) uid span is
 // compiled once into a cached sequence of sim::CompiledBlocks (every
 // state-independent execution term prehoisted, see sim/executor.hpp), the
-// static prolog/epilog are compiled at namespace scope, and RDPMC reads go
+// static prolog/epilog are compiled at namespace scope and only advance the
+// micro-architectural state (their activity lies outside the measured
+// window, so no stats record is built for them), and RDPMC reads go
 // through slot indices resolved at program() time. Compiled blocks live in
 // a stable-address util::Arena so an unroll change rebuilds them in place
 // without growing memory. before/delta live in fixed member scratch sized
@@ -45,6 +47,11 @@ class GadgetRunner {
  public:
   GadgetRunner(const pmu::EventDatabase& db, const isa::IsaSpecification& spec,
                std::uint64_t seed);
+  /// Adds this runner's executions to aegis_gadget_executions_total: the
+  /// counter is bumped once per runner, not once per execute_once.
+  ~GadgetRunner();
+  GadgetRunner(const GadgetRunner&) = delete;
+  GadgetRunner& operator=(const GadgetRunner&) = delete;
 
   /// Programs the events measured by subsequent executions (<= 4, the
   /// hardware register limit) and resolves the RDPMC slot index of each
@@ -56,9 +63,23 @@ class GadgetRunner {
   /// prolog/epilog + serialization harness, and returns the per-event HPC
   /// count deltas across the measured window. The returned span aliases
   /// member scratch: it is valid until the next execute_once call and holds
-  /// one delta per programmed event.
+  /// one delta per programmed event. Throws std::invalid_argument when the
+  /// sequence faults (see faulting_variant); nothing is cached or executed
+  /// then.
   std::span<const double> execute_once(
       std::span<const std::uint32_t> variant_uids, double unroll = 8.0);
+
+  /// The non-throwing fault status of a uid sequence: the first variant in
+  /// it that faults (#UD / #GP) when executed, or nullptr when the whole
+  /// sequence runs. The simulator faults exactly where the ISA spec marks a
+  /// variant illegal, so this is the first `!legal()` variant. Touches no
+  /// machine or cache state. Throws std::out_of_range only for a uid the
+  /// spec does not define.
+  const isa::InstructionVariant* faulting_variant(
+      std::span<const std::uint32_t> variant_uids) const;
+
+  /// Number of fused sequences in the superblock cache.
+  std::size_t cached_sequences() const noexcept { return superblocks_.size(); }
 
   /// Clears cache/predictor state (a fresh process image). Tests use this;
   /// the fuzzer intentionally does NOT between gadgets. The superblock
@@ -90,8 +111,11 @@ class GadgetRunner {
   /// its reset and trigger sequences off the hash probe entirely.
   const Superblock& superblock(std::span<const std::uint32_t> variant_uids,
                                double unroll);
-  void rebuild(Superblock& sb, std::span<const std::uint32_t> variant_uids,
-               double unroll);
+  /// Builds (or rebuilds in place) the cache entry for `key`; throws before
+  /// touching the cache when the sequence faults.
+  Superblock& rebuild(std::uint64_t key,
+                      std::span<const std::uint32_t> variant_uids,
+                      double unroll);
 
   const isa::IsaSpecification* spec_;
   VmConfig config_;
@@ -107,14 +131,16 @@ class GadgetRunner {
   std::array<std::size_t, pmu::EventDatabase::kNumCounters> slot_idx_{};
   std::array<double, pmu::EventDatabase::kNumCounters> before_{};
   std::array<double, pmu::EventDatabase::kNumCounters> delta_{};
-  /// Resolved once at construction (telemetry-handle rule); incrementing in
-  /// execute_once stays allocation-free.
+  /// Resolved once at construction (telemetry-handle rule); the destructor
+  /// adds exec_count_ to it in one step.
   telemetry::Counter executions_;
   /// Flight-recorder hot-path record point, also resolved at construction.
   /// Sampled 1-in-8 executions and stamped with a LOCAL ordinal (no shared
   /// clock traffic); bench_hot_path gates the enabled-vs-disabled overhead
   /// on execute_once at <= 2%.
   telemetry::EventHandle exec_event_;
+  /// Successful execute_once calls so far: the recorder's ordinal and the
+  /// runner's share of aegis_gadget_executions_total.
   std::uint64_t exec_count_ = 0;
 };
 

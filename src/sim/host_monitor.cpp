@@ -1,6 +1,7 @@
 #include "sim/host_monitor.hpp"
 
 #include <cmath>
+#include <utility>
 
 namespace aegis::sim {
 
@@ -16,7 +17,10 @@ MonitorResult HostMonitor::monitor(VirtualMachine& vm, const BlockSource& source
 
   MonitorResult result;
   result.samples.reserve(slices);
+  // Read buffers reused across slices: only each slice's delta row, which
+  // the result keeps, is a fresh vector.
   std::vector<double> prev(event_ids.size(), 0.0);
+  std::vector<double> now;
   const double busy_before = vm.total_busy_cycles();
 
   for (std::size_t t = 0; t < slices; ++t) {
@@ -27,13 +31,13 @@ MonitorResult HostMonitor::monitor(VirtualMachine& vm, const BlockSource& source
     const pmu::ExecutionStats stats = vm.run_slice();
     counters.tick(stats);
 
-    std::vector<double> now = counters.read_all();
+    counters.read_all(now);
     std::vector<double> delta(now.size());
     for (std::size_t e = 0; e < now.size(); ++e) {
       delta[e] = now[e] - prev[e];
       if (delta[e] < 0.0) delta[e] = 0.0;  // multiplex rescaling artefact
     }
-    prev = std::move(now);
+    std::swap(prev, now);
     result.samples.push_back(std::move(delta));
   }
   result.slices = slices;

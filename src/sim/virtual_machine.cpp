@@ -5,8 +5,21 @@ namespace aegis::sim {
 VirtualMachine::VirtualMachine(VmConfig config, std::uint64_t seed)
     : config_(config), rng_(seed) {}
 
+// aegis-lint: amortized-alloc(the ring grows only when a backlog outgrows every earlier one; otherwise a push reuses a slot)
 void VirtualMachine::submit(InstructionBlock block) {
-  queue_.push_back(std::move(block));
+  if (queued_ == ring_.size()) grow_queue();
+  ring_[(head_ + queued_) & (ring_.size() - 1)] = std::move(block);
+  ++queued_;
+}
+
+void VirtualMachine::grow_queue() {
+  std::vector<InstructionBlock> grown(
+      ring_.empty() ? kInitialQueueCapacity : 2 * ring_.size());
+  for (std::size_t i = 0; i < queued_; ++i) {
+    grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+  }
+  ring_ = std::move(grown);
+  head_ = 0;
 }
 
 // aegis-rng: stream(virtual-machine-run-slice)
@@ -27,12 +40,12 @@ pmu::ExecutionStats VirtualMachine::run_slice() {
   // slice even if interrupts (or a pathological configuration) consumed
   // the whole budget — a scheduled task is never starved forever.
   bool first = true;
-  while (!queue_.empty() && (first || budget > 0.0)) {
+  while (queued_ != 0 && (first || budget > 0.0)) {
     first = false;
-    const InstructionBlock block = queue_.front();
-    queue_.pop_front();
     const pmu::ExecutionStats stats =
-        execute_block(block, uarch_, config_.cost);
+        execute_block(ring_[head_], uarch_, config_.cost);
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --queued_;
     slice += stats;
     budget -= stats.cycles;
   }

@@ -6,10 +6,15 @@
 // instructions into measurable execution-latency and CPU-usage overhead
 // (Fig. 10). External interrupts arrive per slice and perturb both cycle
 // counts and interrupt-coupled HPC events (the paper's C2 noise).
+//
+// Queued blocks wait in a ring over reused storage rather than a deque: a
+// deque of 264-byte blocks allocates a node per block, while the ring
+// allocates only when a backlog outgrows every earlier one, so a VM under a
+// steady backlog stops allocating once its ring has grown.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "pmu/event_model.hpp"
 #include "sim/executor.hpp"
@@ -40,7 +45,11 @@ class VirtualMachine {
   pmu::ExecutionStats run_slice();
 
   /// True while queued work remains (used to measure completion latency).
-  bool pending() const noexcept { return !queue_.empty(); }
+  bool pending() const noexcept { return queued_ != 0; }
+  /// Blocks queued and not yet executed.
+  std::size_t queued() const noexcept { return queued_; }
+  /// Blocks the queue's storage holds without growing.
+  std::size_t queue_capacity() const noexcept { return ring_.size(); }
 
   MicroArchState& uarch() noexcept { return uarch_; }
   const VmConfig& config() const noexcept { return config_; }
@@ -60,10 +69,20 @@ class VirtualMachine {
   double cpu_usage() const noexcept;
 
  private:
+  /// Grows the ring to twice its size (kInitialQueueCapacity at first),
+  /// keeping the queued blocks in order from slot 0.
+  void grow_queue();
+
+  static constexpr std::size_t kInitialQueueCapacity = 8;
+
   VmConfig config_;
   util::Rng rng_;
   MicroArchState uarch_;
-  std::deque<InstructionBlock> queue_;
+  /// The FIFO: queued_ blocks from ring_[head_] on, wrapping around. The
+  /// ring's size is 0 or a power of two.
+  std::vector<InstructionBlock> ring_;
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
   pmu::ExecutionStats last_slice_stats_;
   std::uint64_t slices_run_ = 0;
   double total_busy_cycles_ = 0.0;

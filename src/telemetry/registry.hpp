@@ -8,9 +8,11 @@
 //
 // Ownership model:
 //   * Library hot paths (GadgetRunner, CounterRegisterFile, NoiseInjector,
-//     measure_path) record into Registry::global() — a process-wide instance
-//     with the deterministic TickTimeSource — so instrumentation works with
-//     zero plumbing and zero behavioral effect.
+//     the fuzzer's confirmation shards) record into Registry::global() — a
+//     process-wide instance with the deterministic TickTimeSource — so
+//     instrumentation works with zero plumbing and zero behavioral effect.
+//     The per-call counts of a runner, a register file and a confirmation
+//     shard are added once, when their owner finishes.
 //   * Service-layer objects accept an optional Registry* via their configs.
 //     When null they create a PRIVATE registry, keeping per-instance stats
 //     exact (tests construct several caches/services in one process).

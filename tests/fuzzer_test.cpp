@@ -248,6 +248,29 @@ TEST(SetCover, GreedyPrefersSharedGadgets) {
   EXPECT_EQ(cover.gadgets[0], shared);
 }
 
+TEST(SetCover, KeepsTheLargerDeltaOfAGadgetConfirmedTwiceForOneEvent) {
+  // One gadget confirmed twice for event 100 (3.0, then 7.0) and twice for
+  // event 200 with negative deltas: the cover keeps the larger delta per
+  // event, and never less than zero, in either confirmation order.
+  const Gadget g{4, 8};
+  for (bool larger_first : {false, true}) {
+    EventFuzzReport ra, rb;
+    ra.event_id = 100;
+    ra.confirmed = {{g, 100, larger_first ? 7.0 : 3.0},
+                    {g, 100, larger_first ? 3.0 : 7.0}};
+    rb.event_id = 200;
+    rb.confirmed = {{g, 200, -1.0}, {g, 200, -2.0}};
+    FuzzResult result;
+    result.reports = {ra, rb};
+    const GadgetCover cover = minimal_gadget_cover(result);
+    ASSERT_EQ(cover.gadgets.size(), 1u);
+    EXPECT_EQ(cover.gadgets[0], g);
+    const std::vector<std::pair<std::uint32_t, double>> want = {{100, 7.0},
+                                                                {200, 0.0}};
+    EXPECT_EQ(cover.segment_effect, want) << "larger_first=" << larger_first;
+  }
+}
+
 TEST(SetCover, DeterministicAcrossRunsAndInsertionOrders) {
   // Regression for the hash-order tie-break bug: three gadgets cover the
   // same two events with IDENTICAL deltas, so the old implementation's

@@ -4,6 +4,7 @@
 
 #include "pmu/counter_file.hpp"
 #include "pmu/event_database.hpp"
+#include "telemetry/registry.hpp"
 
 namespace aegis::pmu {
 namespace {
@@ -349,6 +350,23 @@ TEST(EventType, ShortCodesMatchTableII) {
   EXPECT_EQ(short_code(EventType::kTracepoint), "T");
   EXPECT_EQ(short_code(EventType::kRawCpu), "R");
   EXPECT_EQ(short_code(EventType::kOther), "O");
+}
+
+TEST(CounterRegisterFile, AccumulateCounterGrowsByExactCallsWhenFileIsGone) {
+  const EventDatabase db = EventDatabase::generate(CpuModel::kAmdEpyc7252);
+  const telemetry::Counter accumulates =
+      telemetry::Registry::global().metrics().counter(
+          "aegis_pmu_accumulate_total");
+  const std::uint64_t before = accumulates.value();
+  ExecutionStats stats;
+  stats.uops = 100.0;
+  {
+    CounterRegisterFile counters(db, 3);
+    counters.program({*db.find("RETIRED_UOPS")});
+    for (int i = 0; i < 25; ++i) counters.accumulate(stats);
+    for (int i = 0; i < 5; ++i) counters.tick(stats);  // accumulate + end
+  }
+  EXPECT_EQ(accumulates.value() - before, 30u);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include "sim/gadget_runner.hpp"
 #include "sim/host_monitor.hpp"
 #include "sim/virtual_machine.hpp"
+#include "telemetry/registry.hpp"
+#include "util/hash.hpp"
 
 namespace aegis::sim {
 namespace {
@@ -232,6 +234,59 @@ TEST(VirtualMachine, LastSliceStatsExposed) {
   EXPECT_GE(vm.last_slice_stats().uops, 777.0);
 }
 
+// Work for slice t of the backlog test: two short blocks, then one that
+// overruns whatever budget is left, so exactly three blocks run per slice
+// whatever the interrupts cost.
+std::array<InstructionBlock, 3> backlog_triple(std::size_t t) {
+  InstructionBlock a;
+  a.uops = 2.0e6;  // 500k cycles
+  a.class_counts[InstructionClass::kIntAlu] = 1.5e6;
+  a.class_counts[InstructionClass::kBranch] = 1000.0 + 100.0 * (t % 13);
+  a.region = 3 + static_cast<RegionId>(t % 3);
+  a.read_bytes = 4096.0 * (1 + t % 7);
+  a.locality = 0.3 + 0.1 * static_cast<double>(t % 5);
+  a.branch_entropy = 0.05 * static_cast<double>(t % 9);
+  InstructionBlock b;
+  b.uops = 2.4e6;  // 600k cycles
+  b.class_counts[InstructionClass::kStore] = 4.0e5;
+  b.class_counts[InstructionClass::kCall] = 200.0;
+  b.region = 6 + static_cast<RegionId>(t % 2);
+  b.write_bytes = 16384.0 * (1 + t % 4);
+  b.flush_bytes = t % 5 == 0 ? 8192.0 : 0.0;
+  b.flush_all = t % 97 == 0;
+  InstructionBlock c;
+  c.uops = 1.2e7;  // 3M cycles: always exhausts what is left
+  c.class_counts[InstructionClass::kFpMul] = 6.0e6;
+  c.region = 8;
+  c.read_bytes = 65536.0;
+  c.serialize_count = static_cast<double>(t % 3);
+  return {a, b, c};
+}
+
+TEST(VirtualMachine, BacklogThatNeverDrainsKeepsStatsAndBoundedQueue) {
+  // 40 slices of work queued ahead, then one slice's worth submitted per
+  // slice: the queue never drains and holds 120-123 blocks throughout.
+  VirtualMachine vm(VmConfig{}, 0xB10C);
+  for (std::size_t t = 0; t < 40; ++t) {
+    for (const InstructionBlock& b : backlog_triple(1000 + t)) vm.submit(b);
+  }
+  std::uint64_t digest = util::kFnvOffset;
+  std::size_t capacity_after_warmup = 0;
+  for (std::size_t t = 0; t < 1200; ++t) {
+    for (const InstructionBlock& b : backlog_triple(t)) vm.submit(b);
+    const pmu::ExecutionStats s = vm.run_slice();
+    digest = util::fnv1a(&s, sizeof(s), digest);
+    ASSERT_TRUE(vm.pending()) << "slice " << t;
+    ASSERT_EQ(vm.queued(), 120u) << "slice " << t;
+    if (t == 0) capacity_after_warmup = vm.queue_capacity();
+    ASSERT_EQ(vm.queue_capacity(), capacity_after_warmup) << "slice " << t;
+  }
+  EXPECT_LE(capacity_after_warmup, 256u);
+  // Digest of the 1,200 per-slice stats records as the deque-backed queue
+  // produced them: the FIFO runs the same blocks in the same order.
+  EXPECT_EQ(digest, 0x6551cf2c5a05c450ULL);
+}
+
 TEST(HostMonitor, ProducesPerSliceDeltas) {
   const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
   const std::uint32_t uops_id = *db.find("RETIRED_UOPS");
@@ -389,18 +444,63 @@ TEST(GadgetRunner, RejectsIllegalVariants) {
   const auto spec = isa::IsaSpecification::generate(isa::CpuModel::kAmdEpyc7252);
   GadgetRunner runner(db, spec, 12);
   runner.program({*db.find("RETIRED_UOPS")});
+  // The non-throwing fault status is exactly the spec's legality, for
+  // every variant, and names the variant that faults.
   std::uint32_t illegal = 0;
+  bool have_illegal = false;
   for (const auto& v : spec.variants()) {
-    if (!v.legal()) {
+    const std::array<std::uint32_t, 1> one = {v.uid};
+    const isa::InstructionVariant* fault = runner.faulting_variant(one);
+    ASSERT_EQ(fault != nullptr, !v.legal()) << v.mnemonic;
+    if (fault != nullptr) {
+      EXPECT_EQ(fault, &v);
+    }
+    if (!v.legal() && !have_illegal) {
       illegal = v.uid;
-      break;
+      have_illegal = true;
     }
   }
+  ASSERT_TRUE(have_illegal);
+  EXPECT_EQ(runner.cached_sequences(), 0u);
   const std::array<std::uint32_t, 1> seq = {illegal};
   EXPECT_THROW((void)runner.execute_once(seq), std::invalid_argument);
   // The superblock cache must never swallow the fault: the second call has
   // to throw exactly like the first (illegal sequences are never cached).
   EXPECT_THROW((void)runner.execute_once(seq), std::invalid_argument);
+  EXPECT_EQ(runner.cached_sequences(), 0u);
+}
+
+TEST(GadgetRunner, ExecutionsCounterGrowsByExactCallsWhenRunnerIsGone) {
+  const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
+  const auto spec = isa::IsaSpecification::generate(isa::CpuModel::kAmdEpyc7252);
+  const telemetry::Counter executions =
+      telemetry::Registry::global().metrics().counter(
+          "aegis_gadget_executions_total");
+  std::uint32_t legal = 0, illegal = 0;
+  bool have_legal = false, have_illegal = false;
+  for (const auto& v : spec.variants()) {
+    if (v.legal() && !have_legal) {
+      legal = v.uid;
+      have_legal = true;
+    }
+    if (!v.legal() && !have_illegal) {
+      illegal = v.uid;
+      have_illegal = true;
+    }
+  }
+  ASSERT_TRUE(have_legal && have_illegal);
+  const std::uint64_t before = executions.value();
+  constexpr int kCalls = 37;
+  {
+    GadgetRunner runner(db, spec, 16);
+    runner.program({*db.find("RETIRED_UOPS")});
+    const std::array<std::uint32_t, 1> seq = {legal};
+    const std::array<std::uint32_t, 1> bad = {illegal};
+    for (int i = 0; i < kCalls; ++i) (void)runner.execute_once(seq, 4.0);
+    // A faulting call executes nothing and counts nothing.
+    EXPECT_THROW((void)runner.execute_once(bad), std::invalid_argument);
+  }
+  EXPECT_EQ(executions.value() - before, static_cast<std::uint64_t>(kCalls));
 }
 
 TEST(GadgetRunner, MeasuresUopDeltaOfSimpleGadget) {
