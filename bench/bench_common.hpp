@@ -18,7 +18,7 @@
 #include "attack/mea.hpp"
 #include "attack/wfa.hpp"
 #include "core/aegis.hpp"
-#include "pmu/backend/registry.hpp"
+#include "pmu/backend/backend.hpp"
 #include "util/table.hpp"
 
 namespace aegis::bench {

@@ -13,7 +13,7 @@
 #include "dp/laplace.hpp"
 #include "fuzzer/parallel_campaign.hpp"
 #include "obf/noise_calculator.hpp"
-#include "pmu/backend/registry.hpp"
+#include "pmu/backend/backend.hpp"
 #include "sim/gadget_runner.hpp"
 #include "sim/virtual_machine.hpp"
 #include "util/thread_pool.hpp"

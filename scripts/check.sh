@@ -17,7 +17,8 @@
 # Usage: scripts/check.sh [--fast]
 #   --fast   sanitizer passes run only the concurrency-relevant suites
 #            (thread pool, parallel campaign, fuzzer, profiler, service)
-#            instead of the whole test suite.
+#            and the PMU backend/hot-path suites instead of the whole test
+#            suite.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,7 +32,7 @@ elif [[ -n "${1:-}" ]]; then
 fi
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
-FAST_FILTER='ThreadPool|Parallel|Golden|Rng|SplitMix|Fuzzer|Confirmation|Profiler|Warmup|Cleanup|ProtectionService|SessionFleet|NoiseCalculator|Obfuscator|RotatingPlan|GadgetRunner|VirtualMachine|HostMonitor|Executor|SetCover|EngineEquivalence|HotPathAllocations'
+FAST_FILTER='ThreadPool|Parallel|Golden|Rng|SplitMix|Fuzzer|Confirmation|Profiler|Warmup|Cleanup|ProtectionService|SessionFleet|NoiseCalculator|Obfuscator|RotatingPlan|GadgetRunner|VirtualMachine|HostMonitor|Executor|SetCover|EngineEquivalence|HotPathAllocations|Backend|Registry|Selector|TableI|Grouping|ResponseMatrix|SimdKernels|EngineDispatch'
 # Every ctest run executes with AEGIS_FR_DUMP armed so a crashing test
 # leaves behind a flight-recorder dump (<prefix>.<pid>.frd) with the last
 # wide events before the fault. On failure the dumps are listed so they can

@@ -1,6 +1,5 @@
 #include "core/aegis.hpp"
 
-#include "pmu/backend/registry.hpp"
 #include "util/stats.hpp"
 
 #include <algorithm>

@@ -39,6 +39,8 @@ struct ObfuscatorBuildOptions {
   /// schedule (Obelix-style; see obf/rotating_plan.hpp). ε-neutral.
   bool rotate = false;
   obf::RotatingPlanConfig rotation;
+
+  bool operator==(const ObfuscatorBuildOptions&) const = default;
 };
 
 struct OfflineResult {
@@ -55,7 +57,7 @@ class Aegis {
  public:
   /// Binds the per-CPU substrate (PMU backend + ISA specification) for the
   /// template server's processor model. The backend comes from
-  /// pmu::backend::BackendRegistry, so every Aegis on the same model shares
+  /// pmu::backend::backend_for, so every Aegis on the same model shares
   /// one immutable event database.
   explicit Aegis(isa::CpuModel template_cpu);
 

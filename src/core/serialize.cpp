@@ -6,7 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "pmu/backend/registry.hpp"
+#include "pmu/backend/backend.hpp"
 
 namespace aegis::core {
 

@@ -43,6 +43,8 @@ struct MechanismConfig {
   double uniform_bound = 1.0; // random-noise baseline: noise ~ U[0, bound]
   double constant_level = 1.0;// constant-output baseline: the peak p
   std::uint64_t seed = 1;
+
+  bool operator==(const MechanismConfig&) const = default;
 };
 
 /// Factory over MechanismKind.

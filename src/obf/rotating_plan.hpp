@@ -28,6 +28,8 @@ struct RotatingPlanConfig {
   std::size_t period = 16;   // slices per variant before morphing
   double boost = 2.5;        // weight multiplier on each variant's subset
   std::uint64_t seed = 0x0BE11ULL;  // schedule + subset derivation
+
+  bool operator==(const RotatingPlanConfig&) const = default;
 };
 
 class RotatingPlan {

@@ -60,9 +60,7 @@ CounterRegisterFile::~CounterRegisterFile() {
 
 void CounterRegisterFile::resolve_dispatch() noexcept {
   resolved_isa_ = resolve_isa(engine_);
-  group_kernel_ = resolved_isa_ == simd::SimdIsa::kScalar
-                      ? nullptr
-                      : simd::expected_group_kernel(resolved_isa_);
+  group_kernel_ = simd::expected_group_kernel(resolved_isa_);
   engine_isa_gauge_.set(static_cast<double>(resolved_isa_));
 }
 
@@ -137,29 +135,15 @@ void CounterRegisterFile::accumulate_batched(const ExecutionStats& stats) {
   if (first >= last) return;
   double features[kStatsFeatureDim];
   flatten_stats(stats, features);
-  if (group_kernel_ != nullptr) {
-    // SIMD fast path: one kernel call computes the active group's 4
-    // expected counts from the blocked-sparse layout (bit-identical to the
-    // dense loop below); the noise draws then run in the identical per-slot
-    // order so the RNG stream is untouched by the engine choice.
-    alignas(32) double lanes[ResponseMatrix::kLanes];
-    const ResponseMatrix::GroupView view = matrix_.group_view(active_group_);
-    group_kernel_(view.lane_coeff, view.col_feat, view.cols, features, lanes);
-    for (std::size_t i = first; i < last; ++i) {
-      const double raw = lanes[i - first];
-      const double expected = raw < 0.0 ? 0.0 : raw;  // expected()'s clamp
-      double noisy = expected;
-      const float noise_rel = matrix_.noise_rel(i);
-      if (noise_rel > 0.0f && expected > 0.0) {
-        noisy += rng_.normal(0.0, noise_rel * expected);
-      }
-      if (noisy < 0.0) noisy = 0.0;
-      slots_[i].count += noisy;
-    }
-    return;
-  }
+  // One kernel call computes the active group's 4 expected counts from the
+  // blocked-sparse layout; the noise draws then run in the reference
+  // engine's per-slot order, so the RNG stream is untouched by the kernel.
+  alignas(32) double lanes[ResponseMatrix::kLanes];
+  const ResponseMatrix::GroupView view = matrix_.group_view(active_group_);
+  group_kernel_(view.lane_coeff, view.col_feat, view.cols, features, lanes);
   for (std::size_t i = first; i < last; ++i) {
-    const double expected = matrix_.expected(i, features);
+    const double raw = lanes[i - first];
+    const double expected = raw < 0.0 ? 0.0 : raw;  // expected_count's clamp
     double noisy = expected;
     const float noise_rel = matrix_.noise_rel(i);
     if (noise_rel > 0.0f && expected > 0.0) {

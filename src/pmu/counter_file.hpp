@@ -9,15 +9,16 @@
 //
 // The accumulate engines share one observable behaviour (see DESIGN.md
 // "PMU hot path" and "SIMD kernels & superblock fusion"):
-//   * kBatched (default) — structure-of-arrays mat-vec over a coefficient
-//     matrix flattened at program() time (pmu::ResponseMatrix); touches
-//     only the active counter group, O(active) per call. Auto-dispatches to
-//     the widest supported SIMD kernel (AVX-512, then AVX2, then scalar) —
-//     the dispatch decision is made ONCE, at program()/set_engine() time,
-//     never per call.
+//   * kBatched (default) — one group-kernel call over the blocked-sparse
+//     coefficients flattened at program() time (pmu::ResponseMatrix);
+//     touches only the active counter group, O(active) per call.
+//     Auto-dispatches to the widest supported kernel (AVX-512, then AVX2,
+//     then sparse scalar) — the dispatch decision is made ONCE, at
+//     program()/set_engine() time, never per call.
 //   * kScalar / kAvx2 / kAvx512 — the batched engine pinned to one kernel
-//     (an unsupported pin falls back to scalar; resolved_isa() reports what
-//     actually runs). AEGIS_FORCE_SCALAR=1 clamps everything to scalar.
+//     (an unsupported pin falls back to the sparse scalar kernel;
+//     resolved_isa() reports what actually runs). AEGIS_FORCE_SCALAR=1
+//     clamps everything to the sparse scalar kernel.
 //   * kReference — the original per-slot EventDatabase::by_id walk over
 //     every slot, retained as the equivalence/bench ground truth.
 // All engines draw measurement noise in the same per-slot order from the
@@ -44,7 +45,7 @@ namespace aegis::pmu {
 enum class AccumulateEngine : unsigned char {
   kBatched = 0,  // batched layout, widest supported SIMD kernel
   kReference,    // per-slot scattered walk (ground truth)
-  kScalar,       // batched layout, dense scalar math
+  kScalar,       // batched layout, sparse scalar group kernel
   kAvx2,         // batched layout, AVX2 group kernel
   kAvx512,       // batched layout, AVX-512 group kernel
 };
@@ -158,8 +159,7 @@ class CounterRegisterFile {
   std::size_t active_group_ = 0;
   std::uint64_t total_slices_ = 0;
   AccumulateEngine engine_;
-  /// Dispatch state, resolved once per program()/set_engine(); null kernel
-  /// means the dense scalar path.
+  /// Dispatch state, resolved once per program()/set_engine(); never null.
   simd::ExpectedGroupFn group_kernel_ = nullptr;
   simd::SimdIsa resolved_isa_ = simd::SimdIsa::kScalar;
   /// Resolved once at construction (telemetry-handle rule); the destructor

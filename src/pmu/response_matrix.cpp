@@ -1,5 +1,6 @@
 #include "pmu/response_matrix.hpp"
 
+#include <algorithm>
 #include <cstdint>
 
 namespace aegis::pmu {
@@ -21,89 +22,67 @@ void flatten_stats(const ExecutionStats& s, double* out) noexcept {
   out[kClasses + 8] = s.interrupts;
 }
 
-void ResponseMatrix::program(const EventDatabase& db,
-                             std::span<const std::uint32_t> ids) {
+namespace {
+
+/// Flattens one response into its coefficient row, column for column with
+/// flatten_stats: class weights first, then the scalar coefficients in
+/// expected_count's term order.
+void flatten_response(const EventResponse& r, double* out) noexcept {
   constexpr std::size_t kClasses = isa::kNumInstructionClasses;
-  coeff_.clear();
-  noise_.clear();
-  coeff_.reserve(ids.size() * kStatsFeatureDim);
-  noise_.reserve(ids.size());
-  for (std::uint32_t id : ids) {
-    const EventResponse& r = db.by_id(id).response;  // validates like program()
-    for (std::size_t i = 0; i < kClasses; ++i) {
-      coeff_.push_back(static_cast<double>(r.class_weight.at_index(i)));
-    }
-    // Scalar coefficients in expected_count's term order (see flatten_stats).
-    coeff_.push_back(static_cast<double>(r.per_uop));
-    coeff_.push_back(static_cast<double>(r.per_l1_miss));
-    coeff_.push_back(static_cast<double>(r.per_llc_miss));
-    coeff_.push_back(static_cast<double>(r.per_l1_write));
-    coeff_.push_back(static_cast<double>(r.per_branch_miss));
-    coeff_.push_back(static_cast<double>(r.per_mem_read));
-    coeff_.push_back(static_cast<double>(r.per_mem_write));
-    coeff_.push_back(static_cast<double>(r.per_cycle));
-    coeff_.push_back(static_cast<double>(r.per_interrupt));
-    noise_.push_back(RowNoise{r.noise_rel, r.noise_abs, r.host_background});
+  for (std::size_t i = 0; i < kClasses; ++i) {
+    out[i] = static_cast<double>(r.class_weight.at_index(i));
   }
-  build_group_blocks();
+  out[kClasses + 0] = static_cast<double>(r.per_uop);
+  out[kClasses + 1] = static_cast<double>(r.per_l1_miss);
+  out[kClasses + 2] = static_cast<double>(r.per_llc_miss);
+  out[kClasses + 3] = static_cast<double>(r.per_l1_write);
+  out[kClasses + 4] = static_cast<double>(r.per_branch_miss);
+  out[kClasses + 5] = static_cast<double>(r.per_mem_read);
+  out[kClasses + 6] = static_cast<double>(r.per_mem_write);
+  out[kClasses + 7] = static_cast<double>(r.per_cycle);
+  out[kClasses + 8] = static_cast<double>(r.per_interrupt);
 }
 
-// Builds the 4-lane group blocks from the dense rows: per group, the
-// ascending union of feature columns any lane responds to, packed as 4
-// lane coefficients per column into 64-byte-aligned storage. Rows past the
-// end pad their lanes with zeros. Exact-zero columns are pruned — a
-// bit-exact no-op under IEEE-754 for finite features (simd_dispatch.hpp).
-void ResponseMatrix::build_group_blocks() {
-  const std::size_t nrows = noise_.size();
-  const std::size_t ngroups = (nrows + kLanes - 1) / kLanes;
+}  // namespace
+
+// Per group of 4 rows: the ascending union of feature columns any lane
+// responds to, packed as 4 lane coefficients per column. Rows past the end
+// pad their lanes with zeros. Exact-zero columns are pruned — a bit-exact
+// no-op under IEEE-754 for finite features (simd_dispatch.hpp).
+void ResponseMatrix::program(const EventDatabase& db,
+                             std::span<const std::uint32_t> ids) {
+  const std::size_t ngroups = (ids.size() + kLanes - 1) / kLanes;
+  noise_.clear();
+  noise_.reserve(ids.size());
   col_feat_.clear();
   group_off_.assign(ngroups + 1, 0);
   slice_noise_.assign(ngroups, 0);
+  std::vector<double> packed;
   for (std::size_t g = 0; g < ngroups; ++g) {
-    const std::size_t row0 = g * kLanes;
-    const std::size_t lanes = std::min(kLanes, nrows - row0);
+    double rows[kLanes][kStatsFeatureDim] = {};
+    for (std::size_t l = 0; l < kLanes && g * kLanes + l < ids.size(); ++l) {
+      const EventResponse& r = db.by_id(ids[g * kLanes + l]).response;
+      flatten_response(r, rows[l]);
+      noise_.push_back(RowNoise{r.noise_rel, r.noise_abs, r.host_background});
+      if (r.noise_abs > 0.0f || r.host_background > 0.0f) slice_noise_[g] = 1;
+    }
     for (std::uint32_t f = 0; f < kStatsFeatureDim; ++f) {
       bool any = false;
-      for (std::size_t l = 0; l < lanes && !any; ++l) {
-        any = coeff_[(row0 + l) * kStatsFeatureDim + f] != 0.0;
-      }
-      if (any) col_feat_.push_back(f);
+      for (std::size_t l = 0; l < kLanes; ++l) any |= rows[l][f] != 0.0;
+      if (!any) continue;
+      col_feat_.push_back(f);
+      for (std::size_t l = 0; l < kLanes; ++l) packed.push_back(rows[l][f]);
     }
     group_off_[g + 1] = static_cast<std::uint32_t>(col_feat_.size());
-    for (std::size_t l = 0; l < lanes; ++l) {
-      if (noise_[row0 + l].abs > 0.0f || noise_[row0 + l].background > 0.0f) {
-        slice_noise_[g] = 1;
-      }
-    }
   }
 
-  // Pack lane coefficients, 64-byte aligned (overallocate by 7 doubles and
-  // round the base pointer up; vector data is always 8-byte aligned).
-  lane_store_.assign(col_feat_.size() * kLanes + 7, 0.0);
+  // 64-byte aligned copy (overallocate by 7 doubles and round the base
+  // pointer up; vector data is always 8-byte aligned).
+  lane_store_.assign(packed.size() + 7, 0.0);
   double* base = lane_store_.data();
   while (reinterpret_cast<std::uintptr_t>(base) % 64 != 0) ++base;
+  std::copy(packed.begin(), packed.end(), base);
   lane_coeff_ = base;
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    const std::size_t row0 = g * kLanes;
-    const std::size_t lanes = std::min(kLanes, nrows - row0);
-    for (std::uint32_t c = group_off_[g]; c < group_off_[g + 1]; ++c) {
-      const std::uint32_t f = col_feat_[c];
-      for (std::size_t l = 0; l < lanes; ++l) {
-        base[std::size_t{c} * kLanes + l] =
-            coeff_[(row0 + l) * kStatsFeatureDim + f];
-      }
-    }
-  }
-}
-
-void ResponseMatrix::clear() noexcept {
-  coeff_.clear();
-  noise_.clear();
-  lane_store_.clear();
-  lane_coeff_ = nullptr;
-  col_feat_.clear();
-  group_off_.clear();
-  slice_noise_.clear();
 }
 
 }  // namespace aegis::pmu

@@ -8,30 +8,30 @@
 // EventDescriptor whose float coefficients interleave with its name and
 // type — costs a dependent load chain plus ~34 float->double conversions
 // per slot. ResponseMatrix flattens the programmed responses ONCE, at
-// program() time, into a dense row-major double matrix so that accumulate
-// becomes a small mat-vec against one flattened feature vector.
+// program() time, so that accumulate becomes a small mat-vec against one
+// flattened feature vector.
 //
-// On top of the dense rows, program() builds a group-blocked column-sparse
-// layout for the SIMD engines (see DESIGN.md "SIMD kernels & superblock
-// fusion"): rows are blocked into groups of kLanes = 4 — exactly the
-// hardware counter groups accumulate touches — padded with zero rows to the
-// lane width and 64-byte aligned. Per group only the ascending union of
-// feature columns with a nonzero coefficient in ANY lane is kept, each
-// stored as 4 packed lane coefficients. Pruning exact-zero columns and
-// padding with zero lanes are both bit-exact no-ops (see
-// simd_dispatch.hpp), so kernels vectorize ACROSS rows while each lane
-// retains the scalar per-row term order. Event responses are archetype-
-// sparse (most rows have 1-3 nonzero coefficients), so the per-group union
-// is typically ~4-8 of the 34 columns — the short-row fast path the 4-event
-// attack configuration runs entirely inside one group.
+// The layout is group-blocked and column-sparse (see DESIGN.md "SIMD
+// kernels & superblock fusion"): rows are blocked into groups of kLanes =
+// 4 — exactly the hardware counter groups accumulate touches — padded with
+// zero rows to the lane width and 64-byte aligned. Per group only the
+// ascending union of feature columns with a nonzero coefficient in ANY
+// lane is kept, each stored as 4 packed lane coefficients. Pruning
+// exact-zero columns and padding with zero lanes are both bit-exact no-ops
+// (see simd_dispatch.hpp), so kernels vectorize ACROSS rows while each
+// lane retains the scalar per-row term order. Event responses are
+// archetype-sparse (most rows have 1-3 nonzero coefficients), so the
+// per-group union is typically ~4-8 of the 34 columns — the short-row fast
+// path the 4-event attack configuration runs entirely inside one group.
 //
-// Contract: expected(row, features) performs bit-identical arithmetic to
+// Contract: every group kernel (sparse scalar, AVX2, AVX-512), followed by
+// the negative clamp, performs bit-identical arithmetic to
 // EventResponse::expected_count on the same ExecutionStats record — the
 // same terms, in the same order, at the same (double) precision — so the
 // batched engine is a drop-in replacement for the retained reference
-// implementation, and every SIMD kernel is bit-identical to expected().
-// tests/hotpath_test.cpp proves the equivalence end to end (fuzzing shard +
-// profiler ranking, bit-identical counters, per-group kernel sweeps).
+// implementation. tests/hotpath_test.cpp proves the equivalence end to end
+// (fuzzing shard + profiler ranking, bit-identical counters, per-group
+// kernel sweeps against expected_count).
 #pragma once
 
 #include <cstdint>
@@ -70,14 +70,11 @@ class ResponseMatrix {
     std::size_t cols = 0;
   };
 
-  /// Flattens the EventResponse of each id into one dense coefficient row
-  /// (and caches the per-row noise terms used by end_slice), then builds
-  /// the aligned group-blocked sparse layout. Validates ids against the
-  /// database exactly like the reference path (throws std::out_of_range on
-  /// unknown ids).
+  /// Builds the aligned group-blocked sparse layout from the EventResponse
+  /// of each id (and caches the per-row noise terms used by end_slice).
+  /// Validates ids against the database exactly like the reference path
+  /// (throws std::out_of_range on unknown ids).
   void program(const EventDatabase& db, std::span<const std::uint32_t> ids);
-
-  void clear() noexcept;
 
   std::size_t rows() const noexcept { return noise_.size(); }
   std::size_t groups() const noexcept {
@@ -89,18 +86,6 @@ class ResponseMatrix {
     const std::uint32_t begin = group_off_[group];
     return GroupView{lane_coeff_ + std::size_t{begin} * kLanes,
                      col_feat_.data() + begin, group_off_[group + 1] - begin};
-  }
-
-  /// Expected (noise-free) count of row `row` for a feature vector produced
-  /// by flatten_stats. Bit-identical to EventResponse::expected_count.
-  // aegis-lint: noalloc
-  double expected(std::size_t row, const double* features) const noexcept {
-    const double* c = coeff_.data() + row * kStatsFeatureDim;
-    double count = 0.0;
-    for (std::size_t i = 0; i < kStatsFeatureDim; ++i) {
-      count += c[i] * features[i];
-    }
-    return count < 0.0 ? 0.0 : count;
   }
 
   float noise_rel(std::size_t row) const noexcept { return noise_[row].rel; }
@@ -123,13 +108,10 @@ class ResponseMatrix {
     float background = 0.0f;
   };
 
-  void build_group_blocks();
-
-  std::vector<double> coeff_;   // rows() x kStatsFeatureDim, row-major
   std::vector<RowNoise> noise_;
 
   // Group-blocked column-sparse layout (built by program, consumed by the
-  // SIMD kernels through group_view). lane_coeff_ points at the first
+  // group kernels through group_view). lane_coeff_ points at the first
   // 64-byte-aligned double inside lane_store_.
   std::vector<double> lane_store_;
   const double* lane_coeff_ = nullptr;

@@ -20,8 +20,9 @@ bool have_avx512_support() noexcept;
 
 namespace {
 
-/// Reference sparse kernel: the exact accumulation order every SIMD kernel
-/// must reproduce per lane. Also the fallback when no vector ISA is usable.
+/// Sparse scalar kernel: the exact accumulation order every SIMD kernel
+/// must reproduce per lane. The kScalar engine runs it, and so does every
+/// engine when no vector ISA is usable.
 void expected_group_scalar(const double* lane_coeff,
                            const std::uint32_t* col_feat, std::size_t cols,
                            const double* features, double* out_lanes) {

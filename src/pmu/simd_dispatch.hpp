@@ -9,12 +9,12 @@
 // Bit-identity contract (DESIGN.md "SIMD kernels & superblock fusion"):
 // every kernel produces exactly the scalar per-row accumulation order —
 // ascending feature index, one multiply and one dependent add per retained
-// column — so lane L's result is bit-identical to the dense scalar loop in
-// ResponseMatrix::expected for row (group*4 + L). Columns whose coefficient
-// is +/-0.0 in every lane are pruned at program() time; with finite
-// features that is an exact no-op (the accumulator starts at +0.0 and a sum
-// can only become -0.0 from (-0)+(-0), so adding a zero product never
-// changes its bits). No FMA is ever used: the AVX2/AVX-512 translation
+// column — so lane L's result is bit-identical to the unclamped sum of
+// EventResponse::expected_count for row (group*4 + L). Columns whose
+// coefficient is +/-0.0 in every lane are pruned at program() time; with
+// finite features that is an exact no-op (the accumulator starts at +0.0
+// and a sum can only become -0.0 from (-0)+(-0), so adding a zero product
+// never changes its bits). No FMA is ever used: the AVX2/AVX-512 translation
 // units are compiled with -ffp-contract=off and use explicit mul/add
 // intrinsics only.
 //

@@ -137,11 +137,6 @@ AdmissionDecision BudgetGovernor::request_window(std::uint64_t tenant_id,
   decision.epsilon_after = tenant.accountant.advanced_epsilon(config_.delta);
   ++tenant.refused;
   record_decision(tenant_id, tenant, decision);
-  if (config_.dump_on_refuse) {
-    // Budget gate breach: snapshot the flight recorder so forensics can see
-    // the admission/span history that led here. No-op unless armed.
-    telemetry_->recorder().trigger_armed_dump();
-  }
   return decision;
 }
 

@@ -68,10 +68,6 @@ struct GovernorConfig {
   /// zero horizon, leaves admission byte-for-byte unchanged.
   telemetry::BudgetForecaster* forecaster = nullptr;
   std::uint64_t proactive_horizon_ns = 0;
-  /// Dump the armed flight recorder when a tenant is REFUSED (a budget
-  /// gate breach is exactly the "what led up to this" moment the recorder
-  /// exists for). No-op when no recorder is armed.
-  bool dump_on_refuse = false;
 };
 
 class BudgetGovernor {

@@ -88,18 +88,19 @@ std::size_t ProtectionService::register_template(
     attack_monitor_.set_attack_events(engine.backend().attack_events());
   }
 
+  Registration registration{key, mechanism, options, seed};
   std::lock_guard lock(mu_);
-  const auto it = template_ids_.find(key);
+  const auto it = template_ids_.find(registration);
   if (it != template_ids_.end()) return it->second;
-  // First registration of this key on this service instance: run the one
-  // shared calibration pass. Holding mu_ makes concurrent same-key
-  // registrations single-flight here too (later ones find the id above).
+  // First such registration on this service instance: run the one shared
+  // calibration pass. Holding mu_ makes concurrent identical registrations
+  // single-flight here too (later ones find the id above).
   // aegis-lint: lock-ok(phantom edge: calibration's HostMonitor submits to the sim VirtualMachine, not to this service; no path back to mu_)
   auto tpl = std::make_unique<ProtectionTemplate>(make_protection_template(
       engine, std::move(analysis), secrets, mechanism, options, seed));
   templates_.push_back(std::move(tpl));
   const std::size_t id = templates_.size() - 1;
-  template_ids_.emplace(key, id);
+  template_ids_.emplace(std::move(registration), id);
   return id;
 }
 
@@ -142,11 +143,20 @@ bool ProtectionService::submit(SessionSubmission submission) {
     if (submission.template_id >= templates_.size()) {
       throw std::out_of_range("ProtectionService: unknown template id");
     }
+    session->tpl = templates_[submission.template_id].get();
+    // A Laplace session releases the template's per-slice ε whatever the
+    // request claims, so a smaller claim would be under-charged.
+    const dp::MechanismConfig& mechanism = session->tpl->obf_config.mechanism;
+    if (mechanism.kind == dp::MechanismKind::kLaplace &&
+        request.per_slice_epsilon < mechanism.epsilon) {
+      throw std::invalid_argument(
+          "ProtectionService: per_slice_epsilon is below the template's "
+          "Laplace epsilon");
+    }
     const std::size_t capacity =
         std::max<std::size_t>(1, config_.queue_capacity);
     idle_cv_.wait(lock, [&] { return stopped_ || in_flight_ < capacity; });
     if (stopped_) return false;
-    session->tpl = templates_[submission.template_id].get();
     ++in_flight_;  // from here on, the workers wait for this session
     queue_depth_.set(static_cast<double>(in_flight_));
   }

@@ -88,11 +88,12 @@ class ProtectionService {
   ProtectionService& operator=(const ProtectionService&) = delete;
 
   /// Registers (or joins) the protection template for this (engine,
-  /// application, offline config): offline analysis through the
-  /// single-flight TemplateCache, then one calibration pass shared by all
-  /// sessions. Concurrent registrations of the same key perform exactly
-  /// one analysis and one calibration. Returns the template id sessions
-  /// reference.
+  /// application, offline config, mechanism, options, seed): offline
+  /// analysis through the single-flight TemplateCache, shared by every
+  /// registration of the same (engine, application, offline config), then
+  /// one calibration pass shared by all sessions of the template.
+  /// Concurrent identical registrations perform exactly one analysis and
+  /// one calibration. Returns the template id sessions reference.
   std::size_t register_template(
       const core::Aegis& engine, const workload::Workload& application,
       const std::vector<std::unique_ptr<workload::Workload>>& secrets,
@@ -111,7 +112,8 @@ class ProtectionService {
   /// Returns false iff the service is shutting down. Throws
   /// std::out_of_range for an unknown template id and
   /// std::invalid_argument for a malformed request (null application,
-  /// zero slices, negative or non-finite per_slice_epsilon).
+  /// zero slices, negative or non-finite per_slice_epsilon, or, on a
+  /// Laplace template, a per_slice_epsilon below the template's ε).
   bool submit(SessionSubmission submission);
 
   /// Blocks until every accepted session has been released to
@@ -144,6 +146,22 @@ class ProtectionService {
   telemetry::Registry& telemetry() const noexcept { return *telemetry_; }
 
  private:
+  /// Everything a template is calibrated from. Registrations share a
+  /// template only when all of it matches; the analysis is shared per key.
+  struct Registration {
+    TemplateKey key;
+    dp::MechanismConfig mechanism;
+    core::ObfuscatorBuildOptions options;
+    std::uint64_t seed = 0;
+
+    bool operator==(const Registration&) const = default;
+  };
+  struct RegistrationHash {
+    std::size_t operator()(const Registration& r) const noexcept {
+      return TemplateKeyHash{}(r.key);
+    }
+  };
+
   /// One accepted session, from admission until its release. Owned by its
   /// tenant's release queue; the worker running it holds a plain pointer.
   struct Session {
@@ -193,7 +211,8 @@ class ProtectionService {
   std::condition_variable work_cv_;  // runnable_ grew, or stopping
   std::condition_variable idle_cv_;  // in_flight_ fell
   std::vector<std::unique_ptr<ProtectionTemplate>> templates_;
-  std::unordered_map<TemplateKey, std::size_t, TemplateKeyHash> template_ids_;
+  std::unordered_map<Registration, std::size_t, RegistrationHash>
+      template_ids_;
   std::deque<Session*> runnable_;  // admitted, not yet picked up (FIFO)
   /// Per tenant, its unreleased sessions in submission order.
   std::unordered_map<std::uint64_t, std::deque<std::unique_ptr<Session>>>

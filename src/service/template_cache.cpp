@@ -3,7 +3,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "pmu/backend/registry.hpp"
+#include "pmu/backend/backend.hpp"
 #include "telemetry/registry.hpp"
 #include "util/hash.hpp"
 

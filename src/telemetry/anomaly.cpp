@@ -211,9 +211,6 @@ AttackScore AttackProbabilityMonitor::ingest(const SessionFeatures& features) {
                         double_bits(s.probability), double_bits(s.overlap),
                         double_bits(s.cadence),
                         static_cast<std::uint32_t>(features.tenant_id));
-    if (config_.dump_on_alert) {
-      telemetry_->recorder().trigger_armed_dump();
-    }
   }
   return s;
 }

@@ -156,9 +156,6 @@ struct AttackMonitorConfig {
   /// all >= 0.6) from benign mixed-event readers (< 0.25); the calibration
   /// test pins both sides.
   double threshold = 0.5;
-  /// When true, an alert also triggers the armed flight-recorder dump
-  /// (forensic snapshot of the instants before the detection).
-  bool dump_on_alert = false;
 };
 
 /// Deterministic online attack-probability scorer. score() is pure;

@@ -473,14 +473,6 @@ FlightRecorder* FlightRecorder::armed() noexcept {
   return g_armed.load(std::memory_order_acquire);
 }
 
-bool FlightRecorder::trigger_armed_dump() const noexcept {
-  if (g_armed.load(std::memory_order_acquire) != this ||
-      g_armed_path[0] == '\0') {
-    return false;
-  }
-  return dump_to_file(g_armed_path);
-}
-
 std::optional<DumpDocument> read_dump(std::istream& is) {
   unsigned char header[40];
   is.read(reinterpret_cast<char*>(header), sizeof(header));

@@ -226,11 +226,6 @@ class FlightRecorder {
   /// The recorder most recently armed (nullptr if none).
   static FlightRecorder* armed() noexcept;
 
-  /// On-demand dump to the armed path (gate breach, shutdown, aegis_top
-  /// request). No-op unless THIS recorder is the armed one; returns whether
-  /// a dump was written.
-  bool trigger_armed_dump() const noexcept;
-
   std::size_t ring_capacity() const noexcept { return capacity_; }
   std::size_t ring_count() const noexcept { return ring_count_; }
 

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "pmu/backend/grouping.hpp"
-#include "pmu/backend/registry.hpp"
+#include "pmu/backend/backend.hpp"
 
 namespace aegis::pmu::backend {
 namespace {

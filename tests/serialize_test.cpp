@@ -4,7 +4,7 @@
 
 #include "attack/wfa.hpp"
 #include "core/serialize.hpp"
-#include "pmu/backend/registry.hpp"
+#include "pmu/backend/backend.hpp"
 
 namespace aegis::core {
 namespace {

@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "attack/wfa.hpp"
+#include "obf/obfuscator.hpp"
 #include "service/protection_service.hpp"
+#include "sim/host_monitor.hpp"
 #include "telemetry/registry.hpp"
 #include "util/rng.hpp"
 
@@ -999,6 +1001,47 @@ TEST(ProtectionServiceTest, MalformedRequestsAreRejectedAtSubmit) {
   EXPECT_EQ(svc.stats().sessions_submitted, 1u);
 }
 
+TEST(ProtectionServiceTest, UnderClaimedLaplaceEpsilonIsRejected) {
+  auto& f = fixture();
+  ProtectionService svc(warm_config("underclaim", 2));
+  const std::size_t tpl_id = register_fixture(svc);
+  ASSERT_EQ(svc.protection_template(tpl_id).obf_config.mechanism.epsilon,
+            0.05);
+
+  SessionRequest free_ride = f.request(3, 20);
+  free_ride.per_slice_epsilon = 0.0;
+  EXPECT_THROW(svc.submit({tpl_id, free_ride}), std::invalid_argument);
+  SessionRequest cheaper = f.request(3, 20);
+  cheaper.per_slice_epsilon = 0.01;
+  EXPECT_THROW(svc.submit({tpl_id, cheaper}), std::invalid_argument);
+  svc.drain();
+  EXPECT_EQ(svc.governor().usage(3).releases, 0u);
+  EXPECT_EQ(svc.stats().sessions_submitted, 0u);
+}
+
+TEST(ProtectionServiceTest, RegistrationsWithDifferentMechanismsGetTheirOwnTemplates) {
+  auto& f = fixture();
+  ProtectionService svc(warm_config("mechanisms", 2));
+  const auto register_with = [&](double epsilon) {
+    dp::MechanismConfig mechanism = Fixture::laplace();
+    mechanism.epsilon = epsilon;
+    return svc.register_template(f.aegis, *f.secrets[0], f.secrets, f.config,
+                                 mechanism, {}, 0xFEEDULL);
+  };
+
+  const std::size_t strict = register_with(0.05);
+  const std::size_t loose = register_with(1.0);
+  EXPECT_NE(strict, loose);
+  const auto epsilon_of = [&](std::size_t id) {
+    return svc.protection_template(id).obf_config.mechanism.epsilon;
+  };
+  EXPECT_EQ(epsilon_of(strict), 0.05);
+  EXPECT_EQ(epsilon_of(loose), 1.0);
+  EXPECT_EQ(register_with(0.05), strict);
+  EXPECT_EQ(register_with(1.0), loose);
+  EXPECT_EQ(svc.stats().cache.analyses_run, 0u);  // one warm-started analysis
+}
+
 TEST(ProtectionServiceTest, ConcurrentRegistrationsShareOneTemplate) {
   ProtectionService svc(warm_config("register", 2));
 
@@ -1018,6 +1061,47 @@ TEST(ProtectionServiceTest, ConcurrentRegistrationsShareOneTemplate) {
   EXPECT_EQ(stats.cache.misses, 1u);
   EXPECT_EQ(stats.cache.warm_starts, 1u);
   EXPECT_EQ(stats.cache.analyses_run, 0u);
+}
+
+// monitor_stepped with a planner that always answers 1 samples at every
+// base slice, so it must reproduce monitor() exactly, agent included.
+TEST(HostMonitor, UnitStepPlannerIsBitIdenticalToMonitor) {
+  auto& f = fixture();
+  const sim::SlicePlanner unit_step = [](std::size_t,
+                                         const std::vector<double>&) {
+    return std::size_t{1};
+  };
+  struct Run {
+    sim::MonitorResult trace;
+    double injected_repetitions = 0.0;
+  };
+  const auto run = [&](bool stepped) {
+    obf::EventObfuscator obfuscator(f.aegis.database(),
+                                    f.aegis.specification(),
+                                    f.analysis->cover, f.tpl.obf_config);
+    const sim::SliceAgent agent =
+        obf::coarsen_agent(obfuscator.session(), 1);
+    sim::VirtualMachine vm(f.tpl.vm, 0x51);
+    sim::HostMonitor monitor(f.aegis.database(), 0x52);
+    const sim::BlockSource visit = f.secrets[1]->visit(0x53);
+    Run out;
+    out.trace = stepped ? monitor.monitor_stepped(vm, visit,
+                                                  f.tpl.monitored_events, 40,
+                                                  unit_step, agent)
+                        : monitor.monitor(vm, visit, f.tpl.monitored_events,
+                                          40, agent);
+    out.injected_repetitions = obfuscator.total_injected_repetitions();
+    return out;
+  };
+
+  const Run plain = run(false);
+  const Run stepped = run(true);
+  ASSERT_EQ(plain.trace.samples.size(), 40u);
+  EXPECT_GT(plain.injected_repetitions, 0.0);  // the defense really ran
+  EXPECT_EQ(stepped.trace.samples, plain.trace.samples);
+  EXPECT_EQ(stepped.trace.slices, plain.trace.slices);
+  EXPECT_EQ(stepped.trace.busy_cycles, plain.trace.busy_cycles);
+  EXPECT_EQ(stepped.injected_repetitions, plain.injected_repetitions);
 }
 
 }  // namespace
