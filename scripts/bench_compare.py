@@ -61,15 +61,13 @@ so unlike the perf gates this needs no jitter allowance; the tolerance
 only absorbs intentional small reshapes of shared attack fixtures.
 
 --lint mode gates the analyzer's own runtime: aegis_lint --time-json
-writes {ruleset, files_analyzed, cache_hits, wall_ms}, and a fresh COLD
-run (cache_hits == 0) may not exceed 2x the committed BENCH_lint.json
-wall time (override with AEGIS_LINT_TOLERANCE, a multiplier). The loose
-multiplier absorbs runner jitter on a tens-of-milliseconds measurement;
-only a superlinear blowup in the analyzer (the failure mode interproc
-analyses actually have) trips it. A ruleset mismatch between the two
-artifacts is a note, not a failure — new rules legitimately cost time,
-but the budget still holds. Warm runs (cache_hits > 0) are compared
-informationally only; the committed baseline is a cold-run number.
+writes {ruleset, files_analyzed, wall_ms}, and a fresh run may not exceed
+2x the committed BENCH_lint.json wall time (override with
+AEGIS_LINT_TOLERANCE, a multiplier). The loose multiplier absorbs runner
+jitter on a tens-of-milliseconds measurement; only a superlinear blowup
+in the analyzer (the failure mode interproc analyses actually have)
+trips it. A ruleset mismatch between the two artifacts is a note, not a
+failure — new rules legitimately cost time, but the budget still holds.
 
 Stdlib only — no pip installs in CI.
 """
@@ -191,7 +189,7 @@ def lint_tolerance():
 
 
 def compare_lint(base_path, fresh_path):
-    """Lint runtime budget: a cold run slower than tol x baseline fails."""
+    """Lint runtime budget: a run slower than tol x baseline fails."""
     baseline, fresh = load(base_path), load(fresh_path)
     tol = lint_tolerance()
     try:
@@ -199,7 +197,6 @@ def compare_lint(base_path, fresh_path):
         new_ms = float(fresh["wall_ms"])
         base_files = int(baseline["files_analyzed"])
         new_files = int(fresh["files_analyzed"])
-        hits = int(fresh.get("cache_hits", 0))
     except (KeyError, TypeError, ValueError) as e:
         print(f"bench_compare: malformed lint timing artifact: {e}",
               file=sys.stderr)
@@ -213,11 +210,6 @@ def compare_lint(base_path, fresh_path):
         print(f"note  lint tree grew: {base_files} -> {new_files} file(s); "
               f"the wall-time budget is deliberately NOT per-file — a "
               f"superlinear analyzer shows up here first")
-    if hits > 0:
-        print(f"  ok  lint wall time (warm, {hits} cache hit(s)): "
-              f"{new_ms:.0f} ms — informational only, the budget gates "
-              f"cold runs")
-        return 0
     # The absolute floor keeps the gate honest across machines: the
     # committed baseline is a fast-dev-box number, and a CI runner being
     # 5x slower on a 30 ms measurement is not the failure mode this gate
@@ -226,11 +218,11 @@ def compare_lint(base_path, fresh_path):
     # clears the floor on any hardware.
     budget = max(base_ms * tol, 2000.0)
     verdict = "FAIL" if new_ms > budget else "  ok"
-    print(f"{verdict}  lint wall time (cold): baseline {base_ms:.0f} ms -> "
+    print(f"{verdict}  lint wall time: baseline {base_ms:.0f} ms -> "
           f"{new_ms:.0f} ms (budget {budget:.0f} ms = max({tol:g}x baseline, "
           f"2000 ms))")
     if new_ms > budget:
-        print(f"bench_compare: aegis-lint cold run exceeded its wall-time "
+        print(f"bench_compare: aegis-lint run exceeded its wall-time "
               f"budget; profile phase 1/2 or re-baseline BENCH_lint.json "
               f"deliberately", file=sys.stderr)
         return 1

@@ -32,7 +32,7 @@ elif [[ -n "${1:-}" ]]; then
 fi
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
-FAST_FILTER='ThreadPool|Parallel|Golden|Rng|SplitMix|Fuzzer|Confirmation|Profiler|Warmup|Cleanup|ProtectionService|SessionFleet|NoiseCalculator|Obfuscator|RotatingPlan|GadgetRunner|VirtualMachine|HostMonitor|Executor|SetCover|EngineEquivalence|HotPathAllocations|Backend|Registry|Selector|TableI|Grouping|ResponseMatrix|SimdKernels|EngineDispatch'
+FAST_FILTER='ThreadPool|Parallel|Golden|Rng|SplitMix|Fuzzer|Confirmation|Profiler|Warmup|Cleanup|ProtectionService|SessionFleet|NoiseCalculator|Obfuscator|RotatingPlan|GadgetRunner|VirtualMachine|HostMonitor|Executor|SetCover|EngineEquivalence|HotPathAllocations|DumpParser|Backend|Registry|Selector|TableI|Grouping|ResponseMatrix|SimdKernels|EngineDispatch'
 # Every ctest run executes with AEGIS_FR_DUMP armed so a crashing test
 # leaves behind a flight-recorder dump (<prefix>.<pid>.frd) with the last
 # wide events before the fault. On failure the dumps are listed so they can
@@ -65,9 +65,8 @@ run_suite() {
 # failure is a hard error here (ctest would otherwise just drop the gate),
 # then run the tree-wide two-phase gate directly for file:line diagnostics
 # on stdout. The gate run also checks the committed RNG stream manifest,
-# emits a SARIF log, times itself for the runtime budget, and warms the
-# persistent phase-1 cache under build/; a second leg fails on stale
-# suppression comments so they never accumulate.
+# emits a SARIF log and times itself for the runtime budget; a second leg
+# fails on stale suppression comments so they never accumulate.
 run_lint() {
   local dir="build"
   echo "=== lint: build aegis-lint ==="
@@ -78,13 +77,12 @@ run_lint() {
   echo "=== lint: aegis-lint gate (src bench examples tools + RNG manifest) ==="
   "${dir}/tools/aegis_lint/aegis_lint" --root . \
     --check-rng-manifest RNG_STREAMS.md \
-    --cache-dir "${dir}/lint-cache" \
     --sarif "${dir}/aegis-lint.sarif" \
     --time-json /tmp/aegis_lint_time.json \
     src bench examples tools
   echo "=== lint: stale suppressions ==="
   "${dir}/tools/aegis_lint/aegis_lint" --root . --stale-as-error \
-    --cache-dir "${dir}/lint-cache" src bench examples tools >/dev/null
+    src bench examples tools >/dev/null
   echo "=== lint: runtime budget ==="
   python3 scripts/bench_compare.py --lint \
     BENCH_lint.json /tmp/aegis_lint_time.json

@@ -49,7 +49,8 @@ class HostMonitor {
 
   /// Monitors `vm` for `slices` sampling intervals while it executes blocks
   /// from `source`. Returns per-slice deltas for `event_ids` (any number;
-  /// more than 4 triggers counter multiplexing like real perf).
+  /// more than 4 triggers counter multiplexing like real perf). The
+  /// unit-step case of monitor_stepped (a null planner).
   MonitorResult monitor(VirtualMachine& vm, const BlockSource& source,
                         const std::vector<std::uint32_t>& event_ids,
                         std::size_t slices, const SliceAgent& agent = nullptr);

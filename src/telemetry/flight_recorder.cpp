@@ -488,6 +488,9 @@ std::optional<DumpDocument> read_dump(std::istream& is) {
   doc.dropped = get_u64(header + 24);
   const std::uint32_t table_len = get_u32(header + 32);
   const std::uint32_t table_count = get_u32(header + 36);
+  // Both writers emit the fixed-capacity pre-rendered table, so a larger
+  // length is corrupt: reject it before allocating for it.
+  if (table_len > FlightRecorder::kNameTableBytes) return std::nullopt;
   std::vector<unsigned char> table(table_len);
   if (table_len > 0) {
     is.read(reinterpret_cast<char*>(table.data()), table_len);

@@ -229,6 +229,10 @@ class FlightRecorder {
   std::size_t ring_capacity() const noexcept { return capacity_; }
   std::size_t ring_count() const noexcept { return ring_count_; }
 
+  /// Capacity of the pre-rendered stream-name table, and so the largest
+  /// name table a dump carries: read_dump rejects a header claiming more.
+  static constexpr std::size_t kNameTableBytes = 16 * 1024;
+
  private:
   struct Slot {
     // words[0..5] = t_ns, a, b, c, d, meta; meta packs
@@ -262,10 +266,9 @@ class FlightRecorder {
   std::vector<std::string> stream_names_;
   // Pre-rendered stream-name table (u16 length + bytes per name) so the
   // signal-context dump can emit names without formatting or allocating.
-  // Fixed capacity; names past the limit fall back to "stream#<id>" in
-  // viewers. published length is atomic so dump_to_fd reads a consistent
-  // prefix.
-  static constexpr std::size_t kNameTableBytes = 16 * 1024;
+  // Fixed capacity (kNameTableBytes); names past the limit fall back to
+  // "stream#<id>" in viewers. published length is atomic so dump_to_fd
+  // reads a consistent prefix.
   std::unique_ptr<unsigned char[]> name_table_;
   std::atomic<std::uint32_t> name_table_len_{0};
   std::atomic<std::uint32_t> name_table_count_{0};
@@ -273,7 +276,9 @@ class FlightRecorder {
 
 /// Parses a binary dump written by write_dump()/dump_to_fd(). Truncated
 /// event streams parse to the events present (a crash may cut the tail);
-/// a bad magic/version returns nullopt.
+/// a bad magic/version, a name table larger than
+/// FlightRecorder::kNameTableBytes, or a truncated name table returns
+/// nullopt.
 std::optional<DumpDocument> read_dump(std::istream& is);
 std::optional<DumpDocument> read_dump_file(const char* path);
 

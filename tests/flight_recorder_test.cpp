@@ -18,10 +18,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/budget_governor.hpp"
 #include "telemetry/registry.hpp"
+#include "util/rng.hpp"
 
 // ---------------------------------------------------------------------------
 // Instrumented global allocator. Counting is gated on a flag so only the
@@ -314,6 +316,90 @@ TEST(FlightRecorderDump, TruncatedRecordStreamParsesThePrefix) {
 TEST(FlightRecorderDump, BadMagicIsRejected) {
   std::istringstream is("NOTADUMPxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx");
   EXPECT_FALSE(read_dump(is).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Dump parser over outside bytes: the name-table length a header claims is
+// bounded before anything is allocated for it, and no mutation of a real
+// dump makes read_dump throw.
+
+/// A v1 header with no events, followed by `table_len` zero bytes of name
+/// table.
+std::string header_with_table(std::uint32_t table_len) {
+  std::string s = "AEGISFR1";
+  put_u32(s, 1);   // format version
+  put_u32(s, 56);  // record size
+  put_u64(s, 0);   // event count
+  put_u64(s, 0);   // dropped
+  put_u32(s, table_len);
+  put_u32(s, 0);   // name table entries
+  s.append(table_len, '\0');
+  return s;
+}
+
+TEST(DumpParser, NameTableLargerThanTheWritersCapacityIsRejected) {
+  constexpr auto kCapacity =
+      static_cast<std::uint32_t>(FlightRecorder::kNameTableBytes);
+  std::istringstream at_capacity(header_with_table(kCapacity));
+  EXPECT_TRUE(read_dump(at_capacity).has_value());
+  // Every byte the header claims is present: only the length is wrong.
+  std::istringstream over(header_with_table(kCapacity + 1));
+  EXPECT_FALSE(read_dump(over).has_value());
+}
+
+TEST(DumpParser, SeededMutationsOfARealDumpParseOrRejectWithoutThrowing) {
+  FlightRecorder rec(small_config(16, 2));
+  EventHandle handles[] = {
+      rec.event_handle("alpha", WideEventType::kHotExec),
+      rec.event_handle("beta-stream", WideEventType::kAlert),
+      rec.event_handle("gamma", WideEventType::kMetricDelta)};
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    handles[i % 3].record(10 + i, i, 2 * i, 3 * i, 4 * i,
+                          static_cast<std::uint32_t>(i));
+  }
+  std::ostringstream os;
+  rec.write_dump(os);
+  const std::string dump = os.str();
+  {
+    std::istringstream is(dump);
+    ASSERT_TRUE(read_dump(is).has_value());
+  }
+
+  // Header fields past the magic: (offset, width in bytes).
+  constexpr std::pair<std::size_t, std::size_t> kFields[] = {
+      {8, 4}, {12, 4}, {16, 8}, {24, 8}, {32, 4}, {36, 4}};
+  const std::uint64_t special[] = {
+      0, 1, FlightRecorder::kNameTableBytes,
+      FlightRecorder::kNameTableBytes + 1, 0xFFFFFFFFULL, ~0ULL};
+  util::Rng rng(0xD0C5);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 1500; ++i) {
+    std::string bytes = dump;
+    if (i % 3 == 0) {  // truncation
+      bytes.resize(rng.uniform_index(bytes.size()));
+    } else if (i % 3 == 1) {  // 1-8 bit flips anywhere
+      const std::uint64_t flips = 1 + rng.uniform_index(8);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        bytes[rng.uniform_index(bytes.size())] ^=
+            static_cast<char>(1u << rng.uniform_index(8));
+      }
+    } else {  // one header field overwritten
+      const auto [offset, width] = kFields[rng.uniform_index(6)];
+      const std::uint64_t pick = rng.uniform_index(7);
+      const std::uint64_t value = pick < 6 ? special[pick] : rng.next_u64();
+      for (std::size_t k = 0; k < width; ++k) {
+        bytes[offset + k] = static_cast<char>(value >> (8 * k));
+      }
+    }
+    std::istringstream is(bytes);
+    std::optional<DumpDocument> doc;
+    ASSERT_NO_THROW(doc = read_dump(is)) << "case " << i;
+    ++(doc.has_value() ? parsed : rejected);
+  }
+  // Both outcomes occur: the mutations reach past the header checks.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(FlightRecorderDump, SignalSafeDumpUsesUntilEofCountAndParses) {

@@ -323,6 +323,59 @@ TEST(HostMonitor, TotalsMatchSummedDeltas) {
   EXPECT_LT(totals[0], (3000.0 + 2500.0) * 40);
 }
 
+TEST(HostMonitor, CoarsePlannerCoalescesBaseSlicesAndTruncatesTheTail) {
+  const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
+  const std::vector<std::uint32_t> events = {
+      *db.find("RETIRED_UOPS"), *db.find("RETIRED_BRANCH_INSTRUCTIONS")};
+  BlockSource source = [](std::size_t t) {
+    const double td = static_cast<double>(t);
+    InstructionBlock b;
+    b.uops = 4000.0 + 250.0 * td;
+    b.class_counts[InstructionClass::kBranch] = 300.0 + 10.0 * td;
+    b.region = 2;
+    b.read_bytes = 2048.0;
+    return std::vector<InstructionBlock>{b};
+  };
+  std::size_t agent_calls = 0;
+  SliceAgent agent = [&](VirtualMachine& vm, std::size_t) {
+    ++agent_calls;
+    InstructionBlock noise;
+    noise.uops = 1500;
+    vm.submit(noise);
+  };
+  // Always asks for 3 base slices per sample: 10 slices give 3 + 3 + 3 + 1.
+  std::vector<std::vector<double>> shown;
+  const SlicePlanner every_third = [&](std::size_t sample,
+                                       const std::vector<double>& last) {
+    EXPECT_EQ(sample, shown.size());
+    shown.push_back(last);
+    return std::size_t{3};
+  };
+  VirtualMachine vm(VmConfig{}, 12);
+  HostMonitor monitor(db, 13);
+  const MonitorResult result =
+      monitor.monitor_stepped(vm, source, events, 10, every_third, agent);
+  ASSERT_EQ(result.samples.size(), 4u);
+  EXPECT_EQ(result.slices, 4u);
+  EXPECT_EQ(agent_calls, 10u);  // the agent still runs every base slice
+  // The planner saw nothing before the first sample, then each sample.
+  ASSERT_EQ(shown.size(), 4u);
+  EXPECT_TRUE(shown[0].empty());
+  for (std::size_t s = 1; s < shown.size(); ++s) {
+    EXPECT_EQ(shown[s], result.samples[s - 1]) << "sample " << s;
+  }
+  // The last sample covers 1 base slice, the others 3.
+  EXPECT_LT(result.samples[3][0], 0.5 * result.samples[2][0]);
+  std::uint64_t digest = util::kFnvOffset;
+  for (const auto& row : result.samples) {
+    ASSERT_EQ(row.size(), events.size());
+    digest = util::fnv1a(row.data(), row.size() * sizeof(double), digest);
+  }
+  // Digest of the four rows as monitor_stepped produced them when it kept
+  // its own copy of the last row and fresh read buffers per sample.
+  EXPECT_EQ(digest, 0x4b77221c52ebbb46ULL);
+}
+
 TEST(HostMonitor, AgentBlocksAreIndistinguishableInflation) {
   const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
   const std::uint32_t uops_id = *db.find("RETIRED_UOPS");

@@ -2,14 +2,26 @@
 
 #include <algorithm>
 #include <climits>
+#include <cstdint>
 #include <iomanip>
 #include <set>
 #include <sstream>
-
-#include "fnv.hpp"
+#include <string_view>
 
 namespace aegis::lint {
 namespace {
+
+/// FNV-1a 64-bit, the same construction as src/util/hash.hpp: the manifest
+/// digest. aegis-lint links nothing but the standard library, so it
+/// carries its own copy.
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 std::string join_chain(const std::vector<std::string>& chain) {
   std::string out;

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "cache.hpp"
 #include "effects.hpp"
 #include "parse.hpp"
 
@@ -91,111 +90,118 @@ std::string companion_for(const fs::path& p) {
   return "";
 }
 
+/// Everything phase 1 produces for one file.
+struct FileAnalysis {
+  std::vector<Finding> lexical;       // unfiltered lexical-rule findings
+  std::vector<Finding> diagnostics;   // parse_file misparse diagnostics
+  std::vector<Directive> directives;  // for suppression + stale detection
+  FileModel model;                    // phase-2 graph input
+};
+
+/// Phase 1 for one file: lex, the lexical rules, FileModel extraction.
+FileAnalysis analyze_file(std::string_view rel, std::string_view content,
+                          std::string_view companion,
+                          const LintConfig& config) {
+  LexOutput lx = lex(content);
+  LexOutput comp;
+  if (!companion.empty()) comp = lex(companion);
+  const LexOutput* comp_ptr = companion.empty() ? nullptr : &comp;
+  FileAnalysis a;
+  a.lexical = run_rules(lx, comp_ptr, config);
+  a.model = parse_file(rel, lx, comp_ptr, a.diagnostics);
+  a.directives = std::move(lx.directives);
+  return a;
+}
+
+/// True when `d` names the suppression tag of `f` on its line or the line
+/// above.
+bool covers(const Directive& d, const Finding& f) {
+  return !f.suppress_tag.empty() && d.tag == f.suppress_tag &&
+         (d.line == f.line || d.line == f.line - 1);
+}
+
+/// Filters one file's findings against its suppressions: drops every
+/// finding a reasoned directive covers, reports reason-less suppressions
+/// and, with `report_stale`, directives that cover nothing. The result is
+/// stable-sorted by line.
+std::vector<Finding> filter_suppressed(std::vector<Finding> findings,
+                                       const std::vector<Directive>& directives,
+                                       bool report_stale) {
+  std::vector<Finding> kept;
+  for (const Finding& f : findings) {
+    const bool suppressed =
+        std::any_of(directives.begin(), directives.end(),
+                    [&](const Directive& d) {
+                      return !d.arg.empty() && covers(d, f);
+                    });
+    if (!suppressed) kept.push_back(f);
+  }
+  for (const Directive& d : directives) {
+    if (!known_suppress_tag(d.tag)) continue;
+    // Reason-less suppressions are findings of their own: an unexplained
+    // exemption is exactly the reviewer-attention problem the linter
+    // exists to remove.
+    if (d.arg.empty()) {
+      kept.push_back(Finding{"suppression", d.line,
+                             "suppression '" + d.tag +
+                                 "' needs a reason: // aegis-lint: " + d.tag +
+                                 "(<why this site is safe>)",
+                             ""});
+      continue;
+    }
+    if (!report_stale) continue;
+    // Stale detection runs against the PRE-filter findings: a directive
+    // earns its keep by covering any finding, including the ones it
+    // suppresses.
+    const bool used = std::any_of(
+        findings.begin(), findings.end(),
+        [&](const Finding& f) { return covers(d, f); });
+    if (!used) {
+      kept.push_back(Finding{
+          "stale-suppression", d.line,
+          "suppression '" + d.tag + "(" + d.arg +
+              ")' no longer silences any finding; delete it (or run "
+              "--prune-suppressions --prune-apply)",
+          ""});
+    }
+  }
+  std::stable_sort(kept.begin(), kept.end(),
+                   [](const Finding& x, const Finding& y) {
+                     return x.line < y.line;
+                   });
+  return kept;
+}
+
 }  // namespace
 
 std::vector<Finding> lint_source(std::string_view source,
                                  std::string_view companion,
                                  const LintConfig& config) {
-  const LexOutput file = lex(source);
-  LexOutput comp;
-  if (!companion.empty()) comp = lex(companion);
-  std::vector<Finding> raw =
-      run_rules(file, companion.empty() ? nullptr : &comp, config);
-
-  std::vector<Finding> out;
-  for (Finding& f : raw) {
-    bool suppressed = false;
-    if (!f.suppress_tag.empty()) {
-      for (const Directive& d : file.directives) {
-        if (d.tag != f.suppress_tag) continue;
-        if (d.line != f.line && d.line != f.line - 1) continue;
-        if (d.arg.empty()) continue;  // reason-less: reported below
-        suppressed = true;
-        break;
-      }
-    }
-    if (!suppressed) out.push_back(std::move(f));
-  }
-  // Reason-less suppressions are findings of their own: an unexplained
-  // exemption is exactly the reviewer-attention problem the linter exists
-  // to remove.
-  for (const Directive& d : file.directives) {
-    if (known_suppress_tag(d.tag) && d.arg.empty()) {
-      out.push_back(Finding{"suppression", d.line,
-                            "suppression '" + d.tag +
-                                "' needs a reason: // aegis-lint: " + d.tag +
-                                "(<why this site is safe>)",
-                            ""});
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Finding& a, const Finding& b) {
-                     return a.line < b.line;
-                   });
-  return out;
+  FileAnalysis a = analyze_file("", source, companion, config);
+  // Without phase 2 a directive for an interprocedural rule covers
+  // nothing, so stale detection would misfire here.
+  return filter_suppressed(std::move(a.lexical), a.directives,
+                           /*report_stale=*/false);
 }
 
-std::vector<FileFinding> lint_tree(const TreeOptions& options) {
-  const fs::path root = options.root.empty() ? fs::path(".") : fs::path(options.root);
-  std::vector<FileFinding> out;
-  for (const fs::path& p : collect_files(options, root)) {
-    const std::string rel = fs::relative(p, root).generic_string();
-    // Companion header: declarations in x.hpp govern iteration/locking in
-    // x.cpp.
-    const std::string companion = companion_for(p);
-    for (Finding& f :
-         lint_source(read_file(p), companion, config_for(rel, options))) {
-      out.push_back(FileFinding{rel, std::move(f)});
-    }
-  }
-  return out;
-}
-
-ProjectResult lint_project(const ProjectOptions& options) {
-  const TreeOptions& tree = options.tree;
-  const fs::path root = tree.root.empty() ? fs::path(".") : fs::path(tree.root);
+ProjectResult lint_project(const TreeOptions& options) {
+  const fs::path root =
+      options.root.empty() ? fs::path(".") : fs::path(options.root);
 
   ProjectResult result;
   std::vector<FileAnalysis> analyses;
-  std::vector<std::string> rels;
-  for (const fs::path& p : collect_files(tree, root)) {
+  for (const fs::path& p : collect_files(options, root)) {
     const std::string rel = fs::relative(p, root).generic_string();
-    const LintConfig config = config_for(rel, tree);
-    const std::string content = read_file(p);
-    const std::string companion = companion_for(p);
-    const std::string salt = std::string("clock=") +
-                             (config.clock_rule ? "1" : "0") +
-                             ";backend=" + (config.backend_rule ? "1" : "0");
-    const std::string key = cache_key(rel, content, companion, salt);
-
-    FileAnalysis analysis;
-    bool hit = false;
-    if (!options.cache_dir.empty()) {
-      hit = cache_load(options.cache_dir, key, analysis);
-    }
-    if (!hit) {
-      const LexOutput lx = lex(content);
-      LexOutput comp;
-      if (!companion.empty()) comp = lex(companion);
-      const LexOutput* comp_ptr = companion.empty() ? nullptr : &comp;
-      analysis.raw = run_rules(lx, comp_ptr, config);
-      analysis.directives = lx.directives;
-      analysis.model = parse_file(rel, lx, comp_ptr, analysis.raw);
-      if (!options.cache_dir.empty()) {
-        cache_store(options.cache_dir, key, analysis);
-      }
-    } else {
-      ++result.cache_hits;
-    }
-    analysis.model.path = rel;  // never trust the cached display path
-    rels.push_back(rel);
-    analyses.push_back(std::move(analysis));
+    analyses.push_back(analyze_file(rel, read_file(p), companion_for(p),
+                                    config_for(rel, options)));
   }
   result.files_analyzed = analyses.size();
 
   // Phase 2: assemble the project model, run the interprocedural rules,
   // then filter everything per file against that file's suppressions.
-  for (FileAnalysis& a : analyses) result.model.files.push_back(a.model);
+  for (FileAnalysis& a : analyses) {
+    result.model.files.push_back(std::move(a.model));
+  }
   const CallGraph graph(result.model);
   std::map<std::string, std::vector<Finding>> graph_findings;
   for (FileFinding& f : run_graph_rules(graph)) {
@@ -203,63 +209,16 @@ ProjectResult lint_project(const ProjectOptions& options) {
   }
 
   for (std::size_t i = 0; i < analyses.size(); ++i) {
-    const std::string& rel = rels[i];
-    const FileAnalysis& a = analyses[i];
-    std::vector<Finding> merged = a.raw;
+    const std::string& rel = result.model.files[i].path;
+    FileAnalysis& a = analyses[i];
+    std::vector<Finding> merged = std::move(a.lexical);
+    merged.insert(merged.end(), a.diagnostics.begin(), a.diagnostics.end());
     const auto gi = graph_findings.find(rel);
     if (gi != graph_findings.end()) {
       merged.insert(merged.end(), gi->second.begin(), gi->second.end());
     }
-
-    std::vector<Finding> kept;
-    for (Finding& f : merged) {
-      bool suppressed = false;
-      if (!f.suppress_tag.empty()) {
-        for (const Directive& d : a.directives) {
-          if (d.tag != f.suppress_tag) continue;
-          if (d.line != f.line && d.line != f.line - 1) continue;
-          if (d.arg.empty()) continue;
-          suppressed = true;
-          break;
-        }
-      }
-      if (!suppressed) kept.push_back(std::move(f));
-    }
-    for (const Directive& d : a.directives) {
-      if (!known_suppress_tag(d.tag)) continue;
-      if (d.arg.empty()) {
-        kept.push_back(Finding{"suppression", d.line,
-                               "suppression '" + d.tag +
-                                   "' needs a reason: // aegis-lint: " + d.tag +
-                                   "(<why this site is safe>)",
-                               ""});
-        continue;
-      }
-      // Stale detection runs against the PRE-filter findings: a directive
-      // earns its keep by matching any finding, including the ones it
-      // suppresses.
-      bool used = false;
-      for (const Finding& f : merged) {
-        if (f.suppress_tag == d.tag &&
-            (d.line == f.line || d.line == f.line - 1)) {
-          used = true;
-          break;
-        }
-      }
-      if (!used) {
-        kept.push_back(Finding{
-            "stale-suppression", d.line,
-            "suppression '" + d.tag + "(" + d.arg +
-                ")' no longer silences any finding; delete it (or run "
-                "--prune-suppressions --prune-apply)",
-            ""});
-      }
-    }
-    std::stable_sort(kept.begin(), kept.end(),
-                     [](const Finding& x, const Finding& y) {
-                       return x.line < y.line;
-                     });
-    for (Finding& f : kept) {
+    for (Finding& f : filter_suppressed(std::move(merged), a.directives,
+                                        /*report_stale=*/true)) {
       result.findings.push_back(FileFinding{rel, std::move(f)});
     }
   }

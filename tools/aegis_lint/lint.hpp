@@ -1,4 +1,5 @@
-// Lint driver: suppression filtering and the filesystem walk.
+// Lint driver: per-file analysis, suppression filtering and the
+// filesystem walk.
 //
 // Suppression syntax (one per comment, same line as the finding or the
 // line immediately above it):
@@ -23,10 +24,13 @@ struct FileFinding {
   Finding finding;
 };
 
-/// Lints one in-memory source. `companion` contributes declarations
+/// Lints one in-memory source through the same per-file phase 1 and
+/// suppression filter as lint_project. `companion` contributes declarations
 /// (unordered-container names, lock-level tables) — pass "" when there is
-/// none. Returns only UNSUPPRESSED findings (plus findings about invalid
-/// suppressions/directives).
+/// none. Returns only UNSUPPRESSED lexical findings (plus findings about
+/// reason-less suppressions); parse diagnostics, interprocedural rules and
+/// stale-suppression detection need the whole project and stay with
+/// lint_project.
 std::vector<Finding> lint_source(std::string_view source,
                                  std::string_view companion,
                                  const LintConfig& config);
@@ -46,25 +50,6 @@ struct TreeOptions {
   std::vector<std::string> exclude = {"tools/aegis_lint/testdata/"};
 };
 
-/// Lints every .cpp/.hpp/.h under the requested subtrees, in sorted path
-/// order. A .cpp file's same-stem .hpp/.h neighbor is its companion.
-/// Throws std::runtime_error when a requested path does not exist.
-std::vector<FileFinding> lint_tree(const TreeOptions& options);
-
-// ---------------------------------------------------------------------------
-// Two-phase project analysis (the v2 analyzer). lint_tree above stays the
-// per-file lexical pass; lint_project runs it AND the interprocedural
-// rules from effects.cpp over a project-wide call graph, with an optional
-// phase-1 result cache.
-
-struct ProjectOptions {
-  TreeOptions tree;
-  /// Directory for the phase-1 incremental cache; "" disables caching.
-  /// Cached and uncached runs produce byte-identical findings — phase 2
-  /// always runs fresh from the cached per-file models.
-  std::string cache_dir;
-};
-
 struct ProjectResult {
   /// All surviving findings — lexical, parse diagnostics, interprocedural,
   /// and stale-suppression warnings — suppression-filtered and sorted by
@@ -74,10 +59,17 @@ struct ProjectResult {
   /// The phase-1 models, for --graph-dump and the RNG manifest.
   ProjectModel model;
   std::size_t files_analyzed = 0;
-  std::size_t cache_hits = 0;
 };
 
-ProjectResult lint_project(const ProjectOptions& options);
+/// Two-phase project analysis over every .cpp/.hpp/.h/.cc under the
+/// requested subtrees, in sorted path order. Phase 1 lexes, runs the
+/// lexical rules and extracts a FileModel per file (a .cpp file's same-stem
+/// .hpp/.h neighbor is its companion); phase 2 runs the interprocedural
+/// rules from effects.cpp over the project-wide call graph, then filters
+/// each file's findings against its suppressions. Every run analyzes every
+/// file fresh. Throws std::runtime_error when a requested path does not
+/// exist.
+ProjectResult lint_project(const TreeOptions& options);
 
 /// Deletes the stale suppression comments `stale` points at (rule
 /// "stale-suppression" findings from lint_project). Rewrites each file in

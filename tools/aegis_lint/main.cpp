@@ -7,7 +7,6 @@
 //                                           comments for every finding
 //   aegis_lint ... --sarif FILE             also write a SARIF 2.1.0 log
 //                                           ("-" = stdout)
-//   aegis_lint ... --cache-dir DIR          phase-1 incremental cache
 //   aegis_lint ... --graph-dump FILE        dump the call graph ("-" = stdout)
 //   aegis_lint ... --write-rng-manifest F   regenerate RNG_STREAMS.md
 //   aegis_lint ... --check-rng-manifest F   fail unless F matches the code
@@ -62,8 +61,8 @@ std::string read_text(const std::string& path, bool& ok) {
 int main(int argc, char** argv) {
   using namespace aegis::lint;
 
-  ProjectOptions options;
-  options.tree.root = ".";
+  TreeOptions options;
+  options.root = ".";
   bool fix_suppressions = false;
   bool list_rules = false;
   bool prune = false;
@@ -89,9 +88,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root") {
-      if (!need_value(i, "--root", options.tree.root)) return 2;
-    } else if (arg == "--cache-dir") {
-      if (!need_value(i, "--cache-dir", options.cache_dir)) return 2;
+      if (!need_value(i, "--root", options.root)) return 2;
     } else if (arg == "--sarif") {
       if (!need_value(i, "--sarif", sarif_path)) return 2;
     } else if (arg == "--graph-dump") {
@@ -103,7 +100,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--exclude") {
       std::string prefix;
       if (!need_value(i, "--exclude", prefix)) return 2;
-      options.tree.exclude.push_back(prefix);
+      options.exclude.push_back(prefix);
     } else if (arg == "--fix-suppressions") {
       fix_suppressions = true;
     } else if (arg == "--prune-suppressions") {
@@ -121,8 +118,8 @@ int main(int argc, char** argv) {
       list_rules = true;
     } else if (arg == "--help" || arg == "-h") {
       std::cout
-          << "usage: aegis_lint [--root DIR] [--cache-dir DIR] [--sarif FILE]\n"
-             "                  [--graph-dump FILE] [--write-rng-manifest FILE]\n"
+          << "usage: aegis_lint [--root DIR] [--sarif FILE] [--graph-dump FILE]\n"
+             "                  [--write-rng-manifest FILE]\n"
              "                  [--check-rng-manifest FILE] [--exclude PREFIX]\n"
              "                  [--prune-suppressions [--prune-apply]]\n"
              "                  [--stale-as-error] [--fix-suppressions]\n"
@@ -148,7 +145,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  options.tree.paths =
+  options.paths =
       paths.empty()
           ? std::vector<std::string>{"src", "bench", "examples", "tools"}
           : paths;
@@ -177,7 +174,7 @@ int main(int argc, char** argv) {
     }
     if (prune_apply) {
       const std::size_t removed =
-          prune_stale_suppressions(options.tree.root, stale);
+          prune_stale_suppressions(options.root, stale);
       std::cout << "aegis_lint: removed " << removed
                 << " stale suppression(s)\n";
     } else {
@@ -259,15 +256,13 @@ int main(int argc, char** argv) {
       std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0).count();
   if (time_report) {
     std::cout << "aegis_lint: analyzed " << result.files_analyzed
-              << " file(s) in " << wall_ms << " ms (" << result.cache_hits
-              << " cache hit(s))\n";
+              << " file(s) in " << wall_ms << " ms\n";
   }
   if (!time_json_path.empty()) {
     std::ostringstream js;
     js << "{\n"
        << "  \"ruleset\": \"" << kRuleSetVersion << "\",\n"
        << "  \"files_analyzed\": " << result.files_analyzed << ",\n"
-       << "  \"cache_hits\": " << result.cache_hits << ",\n"
        << "  \"wall_ms\": " << wall_ms << "\n"
        << "}\n";
     if (!write_text(time_json_path, js.str())) {
